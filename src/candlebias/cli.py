@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
-
-MODEL_NAMES = ("lr", "dt", "rf", "fnn")
-MODEL_LABELS = {"lr": "LR", "dt": "DT", "rf": "RF", "fnn": "FNN"}
-_MODEL_SEED_STREAM = {"lr": 0, "dt": 1, "rf": 2, "fnn": 3}
 
 DEFAULT_CONFIG = {
     "data": None,
@@ -63,13 +60,38 @@ class RunConfig:
     master_seed: int
     out_dir: Path
     report_format: str
-    lr: dict
-    dt: dict
-    rf: dict
-    fnn: dict
+    models: dict  # config section of each model, by name
 
     def model_seed(self, name: str) -> int:
-        return mix64(self.master_seed, _MODEL_SEED_STREAM[name])
+        return mix64(self.master_seed, MODEL_NAMES.index(name))
+
+
+def _same_kind(value, default) -> bool:
+    """True when a config value has its default's JSON type; an int passes for a float."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
+    if default is None or isinstance(default, str):
+        return isinstance(value, str) or (default is None and value is None)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(default, float) and isinstance(value, float))
+
+
+def _check_config(cfg, default: dict, source: str, prefix: str = "") -> None:
+    """Raise DataError unless cfg uses only default's keys, each with its type."""
+    if not isinstance(cfg, dict):
+        raise DataError(f"config {source}: {prefix.rstrip('.') or 'top level'} "
+                        f"must be an object, got {cfg!r}")
+    unknown = sorted(prefix + key for key in set(cfg) - set(default))
+    if unknown:
+        raise DataError(f"config {source}: unknown keys {unknown}")
+    for key, value in cfg.items():
+        if isinstance(default[key], dict):
+            _check_config(value, default[key], source, f"{prefix}{key}.")
+        elif not _same_kind(value, default[key]) or (key == "split" and len(value) != 2):
+            like = "a string" if default[key] is None else repr(default[key])
+            raise DataError(f"config {source}: {prefix}{key} must be shaped like {like}, "
+                            f"got {value!r}")
 
 
 def _merge_config(args) -> RunConfig:
@@ -80,29 +102,19 @@ def _merge_config(args) -> RunConfig:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DataError(f"config {args.config} is not valid JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(cfg)
-        if unknown:
-            raise DataError(f"config {args.config}: unknown keys {sorted(unknown)}")
+        _check_config(file_cfg, DEFAULT_CONFIG, args.config)
         for key, value in file_cfg.items():
             if isinstance(cfg[key], dict):
                 cfg[key].update(value)
             else:
                 cfg[key] = value
 
-    if getattr(args, "data", None):
-        cfg["data"] = args.data
-    if getattr(args, "code", None) is not None:
-        cfg["code"] = args.code
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "split", None):
-        cfg["split"] = args.split
-    if getattr(args, "format", None):
-        cfg["format"] = args.format
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
+    for key in ("data", "code", "seed", "split", "format", "out"):
+        value = getattr(args, key, None)
+        if value is not None and value != "":
+            cfg[key] = value
 
     if cfg["data"] is None:
         data_dir = os.environ.get(DATA_DIR_ENV)
@@ -120,10 +132,7 @@ def _merge_config(args) -> RunConfig:
         master_seed=int(cfg["seed"]),
         out_dir=Path(cfg["out"]),
         report_format=cfg["format"],
-        lr=cfg["lr"],
-        dt=cfg["dt"],
-        rf=cfg["rf"],
-        fnn=cfg["fnn"],
+        models={name: cfg[name] for name in MODEL_NAMES},
     )
 
 
@@ -137,125 +146,145 @@ def _parse_split(text: str):
 # ---------------------------------------------------------------------------
 # dataset plumbing
 
-def _dataset_path(config: RunConfig, args) -> Path:
-    explicit = getattr(args, "dataset", None)
-    return Path(explicit) if explicit else config.out_dir / "dataset.csv"
-
-
 def _load_split_dataset(config: RunConfig, args) -> dataset.LabeledDataset:
-    path = _dataset_path(config, args)
+    path = Path(args.dataset) if args.dataset else config.out_dir / "dataset.csv"
     if not path.exists():
         raise DataError(f"prepared dataset {path} not found; run `prepare` first")
     ds = dataset.read_labeled_csv(path)
     return dataset.split_chronological(ds, config.train_frac, config.val_frac)
 
 
-def _split_range(ds: dataset.LabeledDataset, split_name: str) -> range:
-    ranges = {
-        "train": ds.split.train,
-        "validation": ds.split.validation,
-        "test": ds.split.test,
-    }
-    rng = ranges[split_name]
-    if len(rng) == 0:
-        raise DataError(f"{split_name} split is empty")
-    return rng
-
-
 # ---------------------------------------------------------------------------
-# training / evaluation shared by `train`, `evaluate` and `compare`
+# the four models, as `train`, `evaluate` and `compare` drive them
+#
+# Fit, load and score functions look up the model modules' functions at call
+# time, never at import, so wrapping a module attribute (as a tracer does)
+# reaches every call.
 
-def _train_doc(name: str, ds: dataset.LabeledDataset, config: RunConfig):
-    """Train one model on the train range; returns (model JSON doc, history)."""
-    train_rng = ds.split.train
-    X_raw = ds.rows(train_rng)
-    y = ds.labels(train_rng)
-    seed = config.model_seed(name)
+def _standardize(ds: dataset.LabeledDataset, X: np.ndarray):
+    std = dataset.fit_standardizer(ds)
+    return std, dataset.apply_standardizer(std, X)
 
+
+def _fit_lr(ds, X, y, params: dict, seed: int):
+    std, X_std = _standardize(ds, X)
+    model = logistic.train(X_std, y, float(params["alpha"]), int(params["epochs"]))
+    model.standardizer = std
+    return logistic.to_dict(model), {"cost": model.cost_history.tolist()}
+
+
+def _tree_params(params: dict):
+    return trees.TreeParams(**{k: int(v) for k, v in params.items() if k != "n_estimators"})
+
+
+def _fit_dt(ds, X, y, params: dict, seed: int):
+    return trees.node_to_dict(trees.fit_tree(X, y, _tree_params(params))), None
+
+
+def _fit_rf(ds, X, y, params: dict, seed: int):
+    forest = trees.fit_forest(X, y, int(params["n_estimators"]), _tree_params(params), seed)
+    return trees.forest_to_dict(forest), None
+
+
+def _fit_fnn(ds, X, y, params: dict, seed: int):
+    std, X_std = _standardize(ds, X)
+    train_config = neural.TrainConfig(int(params["epochs"]), int(params["batch_size"]),
+                                      float(params["validation_fraction"]), mix64(seed, 1))
+    model, history = neural.train_network(X_std, y, train_config, seed=seed,
+                                          layer_dims=tuple(params["layer_dims"]))
+    model.standardizer = std
+    return (neural.to_dict(model, train_config),
+            {"train_loss": history.train, "val_loss": history.validation})
+
+
+def _require_standardizer(model):
+    if model.standardizer is None:
+        raise ValueError("no standardizer")
+    return model
+
+
+def _score_proba(proba, model, X, y):
+    """Standardize, take the probability, threshold it at 0.5 and report BCE loss."""
+    p = proba(model, dataset.apply_standardizer(model.standardizer, X))
+    return (p >= 0.5).astype(np.int64), logistic.bce_loss(p, y.astype(float))
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    label: str            # row name in reports
+    markers: tuple        # JSON keys found only in this model's documents
+    fit: Callable         # (ds, X, y, config section, seed) -> (document, history columns)
+    load: Callable        # document -> model
+    score: Callable       # (model, X, y) -> (predicted labels, loss or None)
+    history_file: str | None = None
+
+
+MODELS = {
+    "lr": ModelSpec("LR", ("theta",), _fit_lr,
+                    lambda doc: _require_standardizer(logistic.from_dict(doc)),
+                    lambda m, X, y: _score_proba(logistic.predict_proba, m, X, y),
+                    "lr_cost_history.csv"),
+    "dt": ModelSpec("DT", ("p_up", "feature"), _fit_dt,
+                    lambda doc: trees.node_from_dict(doc),
+                    lambda m, X, y: (trees.tree_predict(m, X), None)),
+    "rf": ModelSpec("RF", ("trees",), _fit_rf,
+                    lambda doc: trees.forest_from_dict(doc),
+                    lambda m, X, y: (trees.predict_forest(m, X), None)),
+    "fnn": ModelSpec("FNN", ("layer_dims",), _fit_fnn,
+                     lambda doc: _require_standardizer(neural.from_dict(doc)[0]),
+                     lambda m, X, y: _score_proba(neural.forward, m, X, y),
+                     "fnn_loss_history.csv"),
+}
+MODEL_NAMES = tuple(MODELS)
+
+
+def _train_and_save(name: str, ds: dataset.LabeledDataset, config: RunConfig) -> list[Path]:
+    """Fit one model on the train range; write its model file and history CSV."""
+    spec = MODELS[name]
+    X, y = ds.rows(ds.split.train), ds.labels(ds.split.train)
     try:
-        if name == "lr":
-            std = dataset.fit_standardizer(ds)
-            model = logistic.train(
-                dataset.apply_standardizer(std, X_raw), y,
-                alpha=float(config.lr["alpha"]), epochs=int(config.lr["epochs"]),
-            )
-            model.standardizer = std
-            return logistic.to_dict(model), model.cost_history
-        if name == "dt":
-            params = trees.TreeParams(
-                max_depth=int(config.dt["max_depth"]),
-                min_samples_split=int(config.dt["min_samples_split"]),
-            )
-            root = trees.fit_tree(X_raw, y, params)
-            return trees.node_to_dict(root), None
-        if name == "rf":
-            params = trees.TreeParams(
-                max_depth=int(config.rf["max_depth"]),
-                min_samples_split=int(config.rf["min_samples_split"]),
-                max_features=int(config.rf["max_features"]),
-            )
-            forest = trees.fit_forest(
-                X_raw, y, n_estimators=int(config.rf["n_estimators"]),
-                params=params, seed=seed,
-            )
-            return trees.forest_to_dict(forest), None
-        if name == "fnn":
-            std = dataset.fit_standardizer(ds)
-            train_config = neural.TrainConfig(
-                epochs=int(config.fnn["epochs"]),
-                batch_size=int(config.fnn["batch_size"]),
-                validation_fraction=float(config.fnn["validation_fraction"]),
-                shuffle_seed=mix64(seed, 1),
-            )
-            model, history = neural.train_network(
-                dataset.apply_standardizer(std, X_raw), y, train_config,
-                seed=seed, layer_dims=tuple(config.fnn["layer_dims"]),
-            )
-            model.standardizer = std
-            return neural.to_dict(model, train_config), history
+        doc, history = spec.fit(ds, X, y, config.models[name], config.model_seed(name))
     except ValueError as exc:
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
-    raise ValueError(f"unknown model {name!r}")
+
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    written = [config.out_dir / f"model_{name}.json"]
+    written[0].write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    if spec.history_file:
+        written.append(config.out_dir / spec.history_file)
+        metrics.write_history_csv(written[-1], history)
+    return written
 
 
-def detect_model_kind(doc: dict) -> str:
-    if "theta" in doc:
-        return "lr"
-    if "layer_dims" in doc:
-        return "fnn"
-    if "trees" in doc:
-        return "rf"
-    if "p_up" in doc or "feature" in doc:
-        return "dt"
+def detect_model_kind(doc) -> str:
+    if isinstance(doc, dict):
+        for name, spec in MODELS.items():
+            if any(key in doc for key in spec.markers):
+                return name
     raise DataError("unrecognized model file format")
 
 
-def _evaluate_doc(doc: dict, ds: dataset.LabeledDataset, split_name: str) -> metrics.EvalReport:
-    kind = detect_model_kind(doc)
-    rng = _split_range(ds, split_name)
-    X_raw = ds.rows(rng)
-    y = ds.labels(rng)
+def _load_model(path: Path):
+    """Read and decode a model file; returns (model name, model).
 
-    if kind == "lr":
-        model = logistic.from_dict(doc)
-        if model.standardizer is None:
-            raise DataError("lr model file has no standardizer")
-        proba = logistic.predict_proba(
-            model, dataset.apply_standardizer(model.standardizer, X_raw))
-        return metrics.evaluate("LR", y, (proba >= 0.5).astype(np.int64),
-                                loss=neural.bce_loss(proba, y.astype(float)))
-    if kind == "dt":
-        root = trees.node_from_dict(doc)
-        return metrics.evaluate("DT", y, trees.tree_predict(root, X_raw))
-    if kind == "rf":
-        forest = trees.forest_from_dict(doc)
-        return metrics.evaluate("RF", y, trees.predict_forest(forest, X_raw))
-    model, _ = neural.from_dict(doc)
-    if model.standardizer is None:
-        raise DataError("fnn model file has no standardizer")
-    proba = neural.forward(model, dataset.apply_standardizer(model.standardizer, X_raw))
-    return metrics.evaluate("FNN", y, (proba >= 0.5).astype(np.int64),
-                            loss=neural.bce_loss(proba, y.astype(float)))
+    Every unreadable or malformed file raises DataError naming the file.
+    """
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        name = detect_model_kind(doc)
+        return name, MODELS[name].load(doc)
+    except KeyError as exc:
+        raise DataError(f"model file {path}: missing key {exc}") from exc
+    except (DataError, OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
+        raise DataError(f"model file {path}: {exc}") from exc
+
+
+def _evaluate(name: str, model, ds: dataset.LabeledDataset,
+              split_name: str) -> metrics.EvalReport:
+    rng = getattr(ds.split, split_name)
+    y = ds.labels(rng)
+    y_pred, loss = MODELS[name].score(model, ds.rows(rng), y)
+    return metrics.evaluate(MODELS[name].label, y, y_pred, loss=loss)
 
 
 def _write_report(config: RunConfig, stem: str, text: str) -> Path:
@@ -300,27 +329,8 @@ def cmd_prepare(config: RunConfig, args) -> int:
 
 def cmd_train(config: RunConfig, args) -> int:
     ds = _load_split_dataset(config, args)
-    name = args.model
-    doc, history = _train_doc(name, ds, config)
-
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = config.out_dir / f"model_{name}.json"
-    model_path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-    written = [model_path]
-
-    if name == "lr":
-        hist_path = config.out_dir / "lr_cost_history.csv"
-        with open(hist_path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,cost\n")
-            for i, cost in enumerate(history):
-                fh.write(f"{i + 1},{cost}\n")
-        written.append(hist_path)
-    elif name == "fnn":
-        hist_path = config.out_dir / "fnn_loss_history.csv"
-        neural.write_loss_history_csv(history, hist_path)
-        written.append(hist_path)
-
-    print(f"trained {name}: " + ", ".join(str(p) for p in written))
+    written = _train_and_save(args.model, ds, config)
+    print(f"trained {args.model}: " + ", ".join(str(p) for p in written))
     return EXIT_OK
 
 
@@ -328,15 +338,13 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     ds = _load_split_dataset(config, args)
     model_path = Path(args.model_file) if args.model_file \
         else config.out_dir / f"model_{args.model}.json"
-    if not model_path.exists():
-        raise DataError(f"model file {model_path} not found")
-    doc = json.loads(model_path.read_text(encoding="utf-8"))
-    report = _evaluate_doc(doc, ds, args.eval_split)
+    name, model = _load_model(model_path)
+    report = _evaluate(name, model, ds, args.eval_split)
 
     text = metrics.render([report], config.report_format,
                           metadata={"split": args.eval_split})
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report(config, f"report_{report.model_name.lower()}_{args.eval_split}", text)
+    _write_report(config, f"report_{name}_{args.eval_split}", text)
     print(text, end="")
     return EXIT_OK
 
@@ -346,21 +354,16 @@ def cmd_compare(config: RunConfig, args) -> int:
     eval_split = {name: "test" if (args.eval_all_test or name == "fnn") else "validation"
                   for name in MODEL_NAMES}
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for name in MODEL_NAMES:
-        doc, history = _train_doc(name, ds, config)
-        (config.out_dir / f"model_{name}.json").write_text(
-            json.dumps(doc) + "\n", encoding="utf-8")
-        if name == "fnn" and history is not None:
-            neural.write_loss_history_csv(history, config.out_dir / "fnn_loss_history.csv")
-        reports.append(_evaluate_doc(doc, ds, eval_split[name]))
+        model_path = _train_and_save(name, ds, config)[0]
+        reports.append(_evaluate(*_load_model(model_path), ds, eval_split[name]))
 
     metadata = {
         "securities_code": config.securities_code,
         "master_seed": config.master_seed,
         "split_fractions": [config.train_frac, config.val_frac],
-        "evaluation_splits": {MODEL_LABELS[n]: eval_split[n] for n in MODEL_NAMES},
+        "evaluation_splits": {MODELS[n].label: eval_split[n] for n in MODEL_NAMES},
         "note": "all models share one chronological split; scores on different "
                 "ranges are not directly comparable",
     }

@@ -264,23 +264,32 @@ def write_labeled_csv(ds: LabeledDataset, path) -> None:
 
 
 def read_labeled_csv(path) -> LabeledDataset:
-    """Read a labeled CSV written by :func:`write_labeled_csv`."""
+    """Read a labeled CSV written by :func:`write_labeled_csv`.
+
+    A row that does not parse raises DataError naming the file and line.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
+    dates, rows, nexts, targets = [], [], [], []
     with fh:
-        reader = csv.DictReader(fh)
-        header = tuple(reader.fieldnames or ())
-        if header != LABELED_COLUMNS:
-            raise DataError(f"{path}: expected columns {LABELED_COLUMNS}, got {header}")
-        dates, rows, nexts, targets = [], [], [], []
-        for row in reader:
-            dates.append(datetime.date.fromisoformat(row["Date"]))
-            rows.append([float(row[c]) for c in FEATURE_COLUMNS])
-            nexts.append(float(row["Next"]))
-            targets.append(int(row["Target"]))
+        reader = csv.reader(fh)
+        try:
+            header = tuple(next(reader, ()))
+            if header != LABELED_COLUMNS:
+                raise DataError(f"{path}: expected columns {LABELED_COLUMNS}, got {header}")
+            for fields in reader:
+                if not fields:
+                    continue
+                date, open_, high, low, close, volume, next_close, target = fields
+                dates.append(datetime.date.fromisoformat(date))
+                rows.append([float(close), float(volume), float(open_), float(high), float(low)])
+                nexts.append(float(next_close))
+                targets.append(int(target))
+        except (ValueError, csv.Error) as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
 
     if len(rows) == 0:
         raise DataError(f"{path}: empty labeled dataset")

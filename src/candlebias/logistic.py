@@ -43,19 +43,26 @@ def sigmoid(z):
     return float(out) if np.ndim(z) == 0 else out
 
 
+def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean of -[y ln p + (1-y) ln(1-p)] with p clamped away from 0 and 1 by 1e-15."""
+    p = np.asarray(p, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if p.shape != y.shape:
+        raise ValueError(f"shape mismatch: p {p.shape} vs y {y.shape}")
+    p = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
 def entropy_cost(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
     """Mean binary cross-entropy of sigmoid(X @ theta) against y.
 
-    X must already carry the intercept column. Log arguments are clamped
-    away from zero by 1e-15.
+    X must already carry the intercept column.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if X.shape != (len(y), len(theta)):
-        raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}, theta {theta.shape}")
-    p = np.clip(sigmoid(X @ theta), LOG_EPS, 1.0 - LOG_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+        raise ValueError(f"shape mismatch: X {X.shape}, y {np.shape(y)}, theta {theta.shape}")
+    return bce_loss(sigmoid(X @ theta), y)
 
 
 def _with_intercept(X: np.ndarray) -> np.ndarray:
@@ -82,8 +89,7 @@ def train(X: np.ndarray, y: np.ndarray,
     theta = np.zeros(Xb.shape[1])
     costs = np.empty(epochs)
     for k in range(epochs):
-        grad = Xb.T @ (sigmoid(Xb @ theta) - y) / n
-        theta = theta - alpha * grad
+        theta = theta - alpha * gradient(Xb, y, theta)
         cost = entropy_cost(Xb, y, theta)
         if not np.isfinite(cost):
             raise TrainingDivergedError(

@@ -8,6 +8,7 @@ total.
 
 from __future__ import annotations
 
+import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -124,6 +125,18 @@ def render_table(reports, footnote: str | None = None) -> str:
     if footnote:
         out += f"\n{footnote}\n"
     return out
+
+
+def write_history_csv(path, columns: dict) -> None:
+    """Write per-epoch traces as ``epoch,<column>...`` rows, epochs counted from 1.
+
+    Lines end in CRLF (the csv module's default); floats are written by repr.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", *columns])
+        for epoch, row in enumerate(zip(*columns.values()), start=1):
+            writer.writerow([epoch, *row])
 
 
 def render(reports, fmt: str, metadata: dict | None = None,

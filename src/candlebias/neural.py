@@ -8,7 +8,6 @@ given the init seed, the shuffle seed and the data.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -16,10 +15,9 @@ import numpy as np
 
 from .dataset import Standardizer
 from .errors import TrainingDivergedError
-from .logistic import sigmoid
+from .logistic import bce_loss, sigmoid
 
 DEFAULT_LAYER_DIMS = (5, 128, 64, 1)
-LOG_EPS = 1e-15
 
 
 @dataclass
@@ -100,16 +98,6 @@ def forward(model: NetworkModel, X: np.ndarray, with_cache: bool = False):
     if with_cache:
         return probs, {"activations": activations, "pre_acts": pre_acts, "probs": probs}
     return probs
-
-
-def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
-    """Mean of -[y ln p + (1-y) ln(1-p)] with p clamped away from 0 and 1 by 1e-15."""
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if p.shape != y.shape:
-        raise ValueError(f"shape mismatch: p {p.shape} vs y {y.shape}")
-    p = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 def backward(model: NetworkModel, cache: dict, y: np.ndarray):
@@ -214,14 +202,6 @@ def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = Non
 def predict_network(model: NetworkModel, X: np.ndarray) -> np.ndarray:
     """Class labels at threshold 0.5; a probability of exactly 0.5 maps to 1."""
     return (forward(model, X) >= 0.5).astype(np.int64)
-
-
-def write_loss_history_csv(history: LossHistory, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for i, (tr, va) in enumerate(zip(history.train, history.validation)):
-            writer.writerow([i + 1, tr, va])
 
 
 def to_dict(model: NetworkModel, config: TrainConfig | None = None) -> dict:

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -38,6 +40,19 @@ FAST_CONFIG = {
     "lr": {"epochs": 120},
     "rf": {"n_estimators": 20, "min_samples_split": 20, "max_depth": 12},
     "fnn": {"epochs": 3},
+}
+
+
+# sha256 of every file a seed-42 `compare --format json` under FAST_CONFIG
+# writes, taken before the CLI's model table replaced its per-model branches;
+# any change to these bytes must be deliberate and recorded in CHANGES.md.
+GOLDEN_COMPARE = {
+    "fnn_loss_history.csv": "e73fee2ee7f7b55782dc3bd97a5dde5bb8bf7690f0328146351bc8a20e1f8f8f",
+    "model_dt.json": "6f8f38f471cbb11e5819e11faf0d1fb5a89166eda30162de45ea09082eec674b",
+    "model_fnn.json": "c36fa11714f8ff849f28c508e9d75b9503140ca02f4cd739017e28aadf34f97e",
+    "model_lr.json": "82cdb5c5a941c25314327fecb721dfdd7348fa1e93669f5016f35443646beb04",
+    "model_rf.json": "ce4a5c68a2b6373ccc058499c6447cdcd9b95b086325dbe30e5a3ddf039e2710",
+    "report_compare.json": "328905f39dd7da24ebe1a9c8f8d17a02baa74b6cb18426d2164ae34653d2038f",
 }
 
 
@@ -275,28 +290,47 @@ def test_compare_all_test_flag(workspace, tmp_path):
     assert set(doc["metadata"]["evaluation_splits"].values()) == {"test"}
 
 
-def test_compare_matches_individual_train_and_evaluate(workspace, tmp_path):
-    cmp_out = tmp_path / "cmp"
+def test_compare_golden_hashes(workspace, tmp_path):
+    out = tmp_path / "cmp"
     rc = cli.main(["compare", "--config", str(workspace.config),
                    "--dataset", str(workspace.dataset),
-                   "--out", str(cmp_out), "--format", "json", "--seed", "11"])
+                   "--out", str(out), "--format", "json", "--seed", "42"])
     assert rc == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_COMPARE}
+    assert digests == GOLDEN_COMPARE
+
+
+def test_compare_matches_individual_train_and_evaluate(workspace, tmp_path):
+    common = ["--config", str(workspace.config), "--dataset", str(workspace.dataset),
+              "--format", "json", "--seed", "11"]
+    cmp_out = tmp_path / "cmp"
+    assert cli.main(["compare", "--out", str(cmp_out)] + common) == 0
     combined = json.loads((cmp_out / "report_compare.json").read_text())
+    splits = combined["metadata"]["evaluation_splits"]
 
     solo_out = tmp_path / "solo"
-    for step in (["train", "--model", "rf"],
-                 ["evaluate", "--model", "rf", "--eval-split", "validation"]):
-        rc = cli.main(step + ["--config", str(workspace.config),
-                              "--dataset", str(workspace.dataset),
-                              "--out", str(solo_out), "--format", "json",
-                              "--seed", "11"])
-        assert rc == 0
-    solo = json.loads((solo_out / "report_rf_validation.json").read_text())
-    combined_rf = next(m for m in combined["models"] if m["model"] == "RF")
-    solo_rf = solo["models"][0]
-    assert combined_rf == solo_rf
-    assert (cmp_out / "model_rf.json").read_bytes() == \
-        (solo_out / "model_rf.json").read_bytes()
+    for name in cli.MODEL_NAMES:
+        label = name.upper()
+        model_file = f"model_{name}.json"
+        assert cli.main(["train", "--model", name, "--out", str(solo_out)] + common) == 0
+        assert (cmp_out / model_file).read_bytes() == (solo_out / model_file).read_bytes()
+        assert cli.main(["evaluate", "--model-file", str(cmp_out / model_file),
+                         "--eval-split", splits[label], "--out", str(solo_out)] + common) == 0
+        solo = json.loads((solo_out / f"report_{name}_{splits[label]}.json").read_text())
+        assert solo["models"] == [m for m in combined["models"] if m["model"] == label]
+
+
+def test_compare_writes_the_history_files_train_writes(workspace, tmp_path):
+    common = ["--config", str(workspace.config), "--dataset", str(workspace.dataset)]
+    assert cli.main(["compare", "--out", str(tmp_path / "cmp")] + common) == 0
+    for name in ("lr", "fnn"):
+        assert cli.main(["train", "--model", name, "--out", str(tmp_path / "solo")] + common) == 0
+    for fname, header in (("lr_cost_history.csv", b"epoch,cost\r\n"),
+                          ("fnn_loss_history.csv", b"epoch,train_loss,val_loss\r\n")):
+        data = (tmp_path / "cmp" / fname).read_bytes()
+        assert data.startswith(header) and data.count(b"\n") == data.count(b"\r\n")
+        assert data == (tmp_path / "solo" / fname).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +351,56 @@ def test_unknown_config_keys_fail(tmp_path, capsys):
     rc = cli.main(["prepare", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_DATA
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_flag_overrides_keep_zero_and_ignore_empty_paths():
+    args = argparse.Namespace(config=None, data="", code=0, seed=0, split=None,
+                              format=None, out="")
+    config = cli._merge_config(args)
+    assert (config.securities_code, config.master_seed) == (0, 0)
+    assert str(config.out_dir) == cli.DEFAULT_CONFIG["out"]
+    assert (config.train_frac, config.val_frac) == tuple(cli.DEFAULT_CONFIG["split"])
+
+
+def _dataset_with_line(workspace, index, edit):
+    lines = workspace.dataset.read_text().splitlines()
+    lines[index] = edit(lines[index].split(","))
+    return "\n".join(lines) + "\n"
+
+
+_LR_THETA = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+# Each bad input file, by the command that reads it; every one must exit 2
+# with one line on stderr that names the file.
+BAD_INPUT_FILES = {
+    "rf_model_without_params": ("model", lambda ws: json.dumps(
+        {"n_estimators": 1, "seed": 0, "oob_error": None, "trees": [{"p_up": 1.0, "n": 2}]})),
+    "lr_model_without_alpha": ("model", lambda ws: json.dumps(
+        {"theta": _LR_THETA, "epochs": 1, "cost_history": [0.5],
+         "standardizer": {"mean": [0.0] * 5, "stddev": [1.0] * 5}})),
+    "model_not_json": ("model", lambda ws: "{not json"),
+    "config_section_not_object": ("config", lambda ws: json.dumps({"lr": 5})),
+    "config_split_one_fraction": ("config", lambda ws: json.dumps({"split": [0.7]})),
+    "config_misspelt_model_key": ("config", lambda ws: json.dumps({"rf": {"n_estimator": 3}})),
+    "dataset_non_numeric_cell": ("dataset", lambda ws: _dataset_with_line(
+        ws, 5, lambda f: ",".join(f[:4] + ["abc"] + f[5:]))),
+    "dataset_short_row": ("dataset", lambda ws: _dataset_with_line(
+        ws, 5, lambda f: ",".join(f[:3]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+def test_bad_input_files_exit_data_with_one_line(case, workspace, tmp_path, capsys):
+    kind, content = BAD_INPUT_FILES[case]
+    bad = tmp_path / "bad_input"
+    bad.write_text(content(workspace))
+    argv = {
+        "model": ["evaluate", "--model-file", str(bad), "--dataset", str(workspace.dataset)],
+        "config": ["prepare", "--data", str(workspace.raw), "--config", str(bad)],
+        "dataset": ["train", "--model", "dt", "--dataset", str(bad)],
+    }[kind]
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(bad) in err

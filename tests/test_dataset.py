@@ -314,6 +314,28 @@ def test_read_labeled_csv_rejects_corrupt_target(tmp_path):
         read_labeled_csv(path)
 
 
+def _corrupt_labeled_csv(tmp_path, line_index, edit):
+    path = tmp_path / "labeled.csv"
+    write_labeled_csv(_dataset(20), path)
+    lines = path.read_text().splitlines()
+    lines[line_index] = edit(lines[line_index])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_read_labeled_csv_names_the_line_of_a_non_numeric_cell(tmp_path):
+    path = _corrupt_labeled_csv(tmp_path, 3, lambda line: ",".join(
+        "abc" if i == 4 else field for i, field in enumerate(line.split(","))))
+    with pytest.raises(DataError, match=r"labeled\.csv, line 4: could not convert .*'abc'"):
+        read_labeled_csv(path)
+
+
+def test_read_labeled_csv_names_the_line_of_a_short_row(tmp_path):
+    path = _corrupt_labeled_csv(tmp_path, 2, lambda line: ",".join(line.split(",")[:3]))
+    with pytest.raises(DataError, match=r"labeled\.csv, line 3: not enough values"):
+        read_labeled_csv(path)
+
+
 def test_dataset_is_immutable():
     ds = _dataset(20)
     with pytest.raises(ValueError):

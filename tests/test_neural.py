@@ -16,7 +16,6 @@ from candlebias.neural import (
     init_network,
     predict_network,
     train_network,
-    write_loss_history_csv,
 )
 
 # 2-2-1 miniature with hand-set weights; output frozen from a 50-digit
@@ -391,7 +390,9 @@ def test_network_json_round_trip():
 def test_loss_history_csv(tmp_path):
     history = neural.LossHistory(train=[0.7, 0.6], validation=[0.71, 0.62])
     path = tmp_path / "hist.csv"
-    write_loss_history_csv(history, path)
+    metrics.write_history_csv(path, {"train_loss": history.train,
+                                     "val_loss": history.validation})
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss"
     assert lines[1].startswith("1,0.7,") and len(lines) == 3
+    assert path.read_bytes() == b"epoch,train_loss,val_loss\r\n1,0.7,0.71\r\n2,0.6,0.62\r\n"
