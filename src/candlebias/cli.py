@@ -146,6 +146,13 @@ def _parse_split(text: str):
 # ---------------------------------------------------------------------------
 # dataset plumbing
 
+def _make_out_dir(config: RunConfig) -> None:
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {config.out_dir}: {exc}") from exc
+
+
 def _load_split_dataset(config: RunConfig, args) -> dataset.LabeledDataset:
     path = Path(args.dataset) if args.dataset else config.out_dir / "dataset.csv"
     if not path.exists():
@@ -247,7 +254,7 @@ def _train_and_save(name: str, ds: dataset.LabeledDataset, config: RunConfig) ->
     except ValueError as exc:
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(config)
     written = [config.out_dir / f"model_{name}.json"]
     written[0].write_text(json.dumps(doc) + "\n", encoding="utf-8")
     if spec.history_file:
@@ -275,7 +282,8 @@ def _load_model(path: Path):
         return name, MODELS[name].load(doc)
     except KeyError as exc:
         raise DataError(f"model file {path}: missing key {exc}") from exc
-    except (DataError, OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
+    except (DataError, OSError, ValueError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
         raise DataError(f"model file {path}: {exc}") from exc
 
 
@@ -305,7 +313,7 @@ def cmd_prepare(config: RunConfig, args) -> int:
     ds = dataset.label(records)
     ds = dataset.split_chronological(ds, config.train_frac, config.val_frac)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(config)
     csv_path = config.out_dir / "dataset.csv"
     dataset.write_labeled_csv(ds, csv_path)
 
@@ -343,7 +351,7 @@ def cmd_evaluate(config: RunConfig, args) -> int:
 
     text = metrics.render([report], config.report_format,
                           metadata={"split": args.eval_split})
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(config)
     _write_report(config, f"report_{name}_{args.eval_split}", text)
     print(text, end="")
     return EXIT_OK
@@ -444,7 +452,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingDivergedError, ValueError) as exc:
+    except TrainingDivergedError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 

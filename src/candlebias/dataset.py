@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DataError
 
 FEATURE_COLUMNS = ("Close", "Volume", "Open", "High", "Low")
+N_FEATURES = len(FEATURE_COLUMNS)
 REQUIRED_COLUMNS = ("Date", "SecuritiesCode", "Open", "High", "Low", "Close", "Volume")
 LABELED_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Volume", "Next", "Target")
 
@@ -111,10 +112,12 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=float),
-            stddev=np.asarray(d["stddev"], dtype=float),
-        )
+        mean = np.asarray(d["mean"], dtype=float)
+        stddev = np.asarray(d["stddev"], dtype=float)
+        if mean.shape != (N_FEATURES,) or stddev.shape != (N_FEATURES,):
+            raise ValueError(f"standardizer needs {N_FEATURES} means and stddevs, "
+                             f"got shapes {mean.shape} and {stddev.shape}")
+        return cls(mean=mean, stddev=stddev)
 
 
 def _parse_float(cell) -> float | None:
@@ -144,42 +147,51 @@ def ingest_csv(path, code: int) -> tuple[list[CandleRecord], IngestStats]:
 
     with fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing required columns {missing}")
-
-        records = []
-        total = matched = dropped_missing = dropped_malformed = 0
-        for row in reader:
-            total += 1
-            code_cell = (row.get("SecuritiesCode") or "").strip()
-            try:
-                if int(code_cell) != code:
-                    continue
-            except ValueError:
-                continue
-            matched += 1
-
-            try:
-                date = datetime.date.fromisoformat((row.get("Date") or "").strip())
-            except ValueError:
-                dropped_missing += 1
-                continue
-            values = [_parse_float(row.get(c)) for c in ("Open", "High", "Low", "Close", "Volume")]
-            if any(v is None for v in values):
-                dropped_missing += 1
-                continue
-            o, h, l, c, v = values
-            if min(o, h, l, c) < 0.0 or v < 0.0 or l > min(o, c) or h < max(o, c):
-                dropped_malformed += 1
-                continue
-            records.append(CandleRecord(date, code, o, h, l, c, v))
+        try:
+            records, counts = _ingest_rows(path, reader, code)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
 
     if not records:
         raise DataError(f"{path}: no usable rows for securities code {code}")
     records.sort(key=lambda r: r.date)
-    return records, IngestStats(total, matched, dropped_missing, dropped_malformed)
+    return records, IngestStats(*counts)
+
+
+def _ingest_rows(path, reader: csv.DictReader, code: int):
+    """Records of one security and the (total, matched, missing, malformed) counts."""
+    header = reader.fieldnames or []
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing required columns {missing}")
+
+    records = []
+    total = matched = dropped_missing = dropped_malformed = 0
+    for row in reader:
+        total += 1
+        code_cell = (row.get("SecuritiesCode") or "").strip()
+        try:
+            if int(code_cell) != code:
+                continue
+        except ValueError:
+            continue
+        matched += 1
+
+        try:
+            date = datetime.date.fromisoformat((row.get("Date") or "").strip())
+        except ValueError:
+            dropped_missing += 1
+            continue
+        values = [_parse_float(row.get(c)) for c in ("Open", "High", "Low", "Close", "Volume")]
+        if any(v is None for v in values):
+            dropped_missing += 1
+            continue
+        o, h, l, c, v = values
+        if min(o, h, l, c) < 0.0 or v < 0.0 or l > min(o, c) or h < max(o, c):
+            dropped_malformed += 1
+            continue
+        records.append(CandleRecord(date, code, o, h, l, c, v))
+    return records, (total, matched, dropped_missing, dropped_malformed)
 
 
 def write_records_csv(records, path) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Standardizer
+from .dataset import N_FEATURES, Standardizer
 from .errors import TrainingDivergedError
 
 DEFAULT_ALPHA = 0.01
@@ -130,8 +130,12 @@ def to_dict(model: LogisticModel) -> dict:
 
 def from_dict(d: dict) -> LogisticModel:
     std = d.get("standardizer")
+    theta = np.asarray(d["theta"], dtype=float)
+    if theta.shape != (N_FEATURES + 1,):
+        raise ValueError(f"theta needs {N_FEATURES + 1} entries (bias first), "
+                         f"got shape {theta.shape}")
     return LogisticModel(
-        theta=np.asarray(d["theta"], dtype=float),
+        theta=theta,
         cost_history=np.asarray(d["cost_history"], dtype=float),
         alpha=float(d["alpha"]),
         epochs=int(d["epochs"]),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Standardizer
+from .dataset import N_FEATURES, Standardizer
 from .errors import TrainingDivergedError
 from .logistic import bce_loss, sigmoid
 
@@ -150,6 +150,12 @@ def adam_step(params: list, grads: list, state: AdamState) -> list:
     return out
 
 
+def _check_layer_dims(layer_dims, n_inputs: int) -> None:
+    if len(layer_dims) < 2 or layer_dims[0] != n_inputs or layer_dims[-1] != 1:
+        raise ValueError(f"layer_dims must run from {n_inputs} inputs to 1 output, "
+                         f"got {list(layer_dims)}")
+
+
 def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None,
                   seed: int = 0, layer_dims=DEFAULT_LAYER_DIMS):
     """Train on seeded-shuffled mini-batches; returns (model, per-epoch losses).
@@ -167,6 +173,7 @@ def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = Non
         raise ValueError(f"need more than batch_size={config.batch_size} rows, got {n}")
     if not (0.0 <= config.validation_fraction < 1.0):
         raise ValueError("validation_fraction must be in [0, 1)")
+    _check_layer_dims(layer_dims, X.shape[1])
 
     n_val = int(n * config.validation_fraction)
     n_fit = n - n_val
@@ -217,10 +224,19 @@ def to_dict(model: NetworkModel, config: TrainConfig | None = None) -> dict:
 
 def from_dict(d: dict):
     std = d.get("standardizer")
+    dims = tuple(d["layer_dims"])
+    weights = [np.asarray(w, dtype=float) for w in d["weights"]]
+    biases = [np.asarray(b, dtype=float) for b in d["biases"]]
+    _check_layer_dims(dims, N_FEATURES)
+    if ([w.shape for w in weights] != list(zip(dims[1:], dims))
+            or [b.shape for b in biases] != [(k,) for k in dims[1:]]):
+        raise ValueError(f"layer_dims {list(dims)} do not match weight shapes "
+                         f"{[w.shape for w in weights]} and bias shapes "
+                         f"{[b.shape for b in biases]}")
     model = NetworkModel(
-        layer_dims=tuple(d["layer_dims"]),
-        weights=[np.asarray(w, dtype=float) for w in d["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in d["biases"]],
+        layer_dims=dims,
+        weights=weights,
+        biases=biases,
         seed=int(d["seed"]),
         standardizer=Standardizer.from_dict(std) if std else None,
     )

@@ -1,21 +1,18 @@
 """Entropy decision tree and seeded bootstrap random forest with OOB error.
 
 Trees consume raw (unstandardized) features; axis-aligned thresholds are
-scale-equivariant. All randomness flows through :func:`candlebias.seeding.mix64`
-so a forest trained from one master seed is bit-identical whether trees are
-fitted sequentially or in parallel.
+scale-equivariant. All randomness flows through :func:`candlebias.seeding.mix64`,
+and tree t of a forest depends only on (master seed, t).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .dataset import N_FEATURES
 from .seeding import mix64
 
 DEFAULT_N_ESTIMATORS = 250
@@ -72,14 +69,17 @@ class ForestModel:
     oob_error: float | None = None
 
 
-@lru_cache(maxsize=1 << 20)
-def _entropy_counts(positives: int, n: int) -> float:
-    # both fractions come from exact integer divisions so H(k, n) == H(n-k, n)
-    if positives <= 0 or positives >= n:
-        return 0.0
-    p = positives / n
-    q = (n - positives) / n
-    return -p * math.log2(p) - q * math.log2(q)
+def _entropy(positives, n):
+    """Elementwise entropy in bits of `positives` ones among `n`; 0 log 0 is 0.
+
+    impurity (hence the test oracle) and best_split share it, so they agree on
+    every logarithm; exact divisions make H(k, n) == H(n - k, n).
+    """
+    p = np.divide(positives, n)
+    q = np.divide(np.subtract(n, positives), n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -p * np.log2(p) - q * np.log2(q)
+    return np.where((p > 0.0) & (q > 0.0), h, 0.0)
 
 
 def impurity(labels) -> float:
@@ -87,7 +87,7 @@ def impurity(labels) -> float:
     y = np.asarray(labels)
     if y.size == 0:
         raise ValueError("impurity of an empty label set is undefined")
-    return _entropy_counts(int(y.sum()), y.size)
+    return float(_entropy(int(y.sum()), y.size))
 
 
 def best_split(X: np.ndarray, y: np.ndarray, candidate_features=None):
@@ -96,34 +96,32 @@ def best_split(X: np.ndarray, y: np.ndarray, candidate_features=None):
     Returns (feature_index, threshold, information_gain) for the gain-maximizing
     split, or None when no candidate has strictly positive gain. Ties break to
     the lowest feature index, then the lowest threshold; candidate features are
-    scanned in ascending index order regardless of the order supplied.
+    scanned in ascending index order regardless of the order supplied. One
+    array pass: sorted columns, running label sums, no gain between equal values.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     n = len(y)
-    feats = range(X.shape[1]) if candidate_features is None else sorted(candidate_features)
+    if n < 2:
+        return None
+    feats = (np.arange(X.shape[1]) if candidate_features is None
+             else np.sort(np.asarray(candidate_features, dtype=np.intp)))
 
+    cols = X[:, feats].T                                  # (features, rows)
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=1)
+    pos_l = np.cumsum(y[order], axis=1)[:, :-1]           # positives left of cut i
+    n_l = np.arange(1, n)
+    n_r = n - n_l
     pos_total = int(y.sum())
-    h_parent = _entropy_counts(pos_total, n)
-    best = None
-    best_gain = 0.0
-    for f in feats:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        cum_pos = np.cumsum(y[order])
-        for i in range(n - 1):
-            if xs[i] == xs[i + 1]:
-                continue
-            n_l = i + 1
-            n_r = n - n_l
-            pos_l = int(cum_pos[i])
-            gain = (h_parent
-                    - (n_l / n) * _entropy_counts(pos_l, n_l)
-                    - (n_r / n) * _entropy_counts(pos_total - pos_l, n_r))
-            if gain > best_gain:
-                best_gain = gain
-                best = (int(f), float((xs[i] + xs[i + 1]) / 2.0), gain)
-    return best
+    gain = (_entropy(pos_total, n)
+            - (n_l / n) * _entropy(pos_l, n_l)
+            - (n_r / n) * _entropy(pos_total - pos_l, n_r))
+    gain[xs[:, :-1] == xs[:, 1:]] = 0.0
+    k, i = np.unravel_index(np.argmax(gain), gain.shape)  # first max, row-major
+    if gain[k, i] <= 0.0:
+        return None
+    return int(feats[k]), float((xs[k, i] + xs[k, i + 1]) / 2.0), float(gain[k, i])
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
@@ -193,15 +191,14 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
                n_estimators: int = DEFAULT_N_ESTIMATORS,
                params: TreeParams | None = None,
                seed: int = 0,
-               bootstrap_fn=bootstrap_sample,
-               n_jobs: int = 1) -> ForestModel:
+               bootstrap_fn=bootstrap_sample) -> ForestModel:
     """Train n_estimators trees on bootstrap samples and record the OOB error.
 
     Tree t draws its bootstrap from mix64(seed, t) and its per-node feature
-    sampler from mix64(mix64(seed, t), 1), so the forest depends only on
-    (seed, t) and never on execution order; n_jobs > 1 gives bit-identical
-    results to sequential training. ``bootstrap_fn(n, seed)`` is injectable
-    for tests (e.g. an identity bootstrap).
+    sampler from mix64(mix64(seed, t), 1), so tree t depends only on
+    (seed, t): the first k trees of a larger forest equal a k-tree forest.
+    ``bootstrap_fn(n, seed)`` is injectable for tests (e.g. an identity
+    bootstrap).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -211,28 +208,14 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
         raise ValueError("n_estimators must be positive")
     if len(y) < 2:
         raise ValueError("forest training needs at least 2 rows")
-    n = len(y)
-
-    def fit_one(t):
+    forest = ForestModel(trees=[], params=params, n_estimators=n_estimators, seed=seed,
+                         bootstrap_indices=[])
+    for t in range(n_estimators):
         tree_seed = mix64(seed, t)
-        idx = np.asarray(bootstrap_fn(n, tree_seed))
+        idx = np.asarray(bootstrap_fn(len(y), tree_seed))
         sampler = np.random.default_rng(mix64(tree_seed, _FEATURE_STREAM))
-        root = fit_tree(X[idx], y[idx], params, feature_sampler=sampler)
-        return root, idx
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            fitted = list(pool.map(fit_one, range(n_estimators)))
-    else:
-        fitted = [fit_one(t) for t in range(n_estimators)]
-
-    forest = ForestModel(
-        trees=[root for root, _ in fitted],
-        params=params,
-        n_estimators=n_estimators,
-        seed=seed,
-        bootstrap_indices=[idx for _, idx in fitted],
-    )
+        forest.trees.append(fit_tree(X[idx], y[idx], params, feature_sampler=sampler))
+        forest.bootstrap_indices.append(idx)
     forest.oob_error = oob_error(forest, X, y)
     return forest
 
@@ -290,8 +273,12 @@ def node_to_dict(node: SplitNode) -> dict:
 def node_from_dict(d: dict) -> SplitNode:
     if "p_up" in d:
         return SplitNode(p_up=float(d["p_up"]), n_samples=int(d["n"]))
+    feature = d["feature"]
+    if type(feature) is not int or not 0 <= feature < N_FEATURES:
+        raise ValueError(f"split feature must be an integer in 0..{N_FEATURES - 1}, "
+                         f"got {feature!r}")
     return SplitNode(
-        feature=int(d["feature"]),
+        feature=feature,
         threshold=float(d["threshold"]),
         left=node_from_dict(d["left"]),
         right=node_from_dict(d["right"]),
@@ -309,6 +296,8 @@ def forest_to_dict(forest: ForestModel) -> dict:
 
 
 def forest_from_dict(d: dict) -> ForestModel:
+    if not d["trees"]:
+        raise ValueError("forest has no trees")
     return ForestModel(
         trees=[node_from_dict(t) for t in d["trees"]],
         params=TreeParams.from_dict(d["params"]),

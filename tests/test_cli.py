@@ -1,10 +1,14 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from candlebias import cli
 
@@ -369,6 +373,32 @@ def _dataset_with_line(workspace, index, edit):
 
 
 _LR_THETA = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+_LEAF = {"p_up": 1.0, "n": 2}
+_TREE_PARAMS = {"max_depth": 2, "min_samples_split": 2, "max_features": 5}
+
+
+def _lr_model(theta, width):
+    return json.dumps({"theta": theta, "alpha": 0.01, "epochs": 1, "cost_history": [0.5],
+                       "standardizer": {"mean": [0.0] * width, "stddev": [1.0] * width}})
+
+
+def _split(feature):
+    return {"feature": feature, "threshold": 0.0, "left": _LEAF, "right": _LEAF}
+
+
+def _rf_model(trees):
+    return json.dumps({"n_estimators": 1, "seed": 0, "params": _TREE_PARAMS,
+                       "oob_error": None, "trees": trees})
+
+
+def _fnn_model(layer_dims, shapes):
+    """An FNN document with the given layer_dims and (out, in) weight shapes."""
+    return json.dumps({"layer_dims": layer_dims,
+                       "weights": [[[0.0] * n_in] * n_out for n_out, n_in in shapes],
+                       "biases": [[0.0] * n_out for n_out, _ in shapes],
+                       "seed": 0, "config": None,
+                       "standardizer": {"mean": [0.0] * 5, "stddev": [1.0] * 5}})
+
 
 # Each bad input file, by the command that reads it; every one must exit 2
 # with one line on stderr that names the file.
@@ -379,6 +409,16 @@ BAD_INPUT_FILES = {
         {"theta": _LR_THETA, "epochs": 1, "cost_history": [0.5],
          "standardizer": {"mean": [0.0] * 5, "stddev": [1.0] * 5}})),
     "model_not_json": ("model", lambda ws: "{not json"),
+    "dt_model_feature_out_of_range": ("model", lambda ws: json.dumps(_split(9))),
+    "dt_model_fractional_feature": ("model", lambda ws: json.dumps(_split(1.7))),
+    "rf_model_negative_feature": ("model", lambda ws: _rf_model([_split(-1)])),
+    "rf_model_without_trees": ("model", lambda ws: _rf_model([])),
+    "lr_model_short_theta": ("model", lambda ws: _lr_model([1.0, 0.0], 5)),
+    "lr_model_narrow_standardizer": ("model", lambda ws: _lr_model(_LR_THETA, 2)),
+    "fnn_model_weights_cut_short": ("model", lambda ws: _fnn_model([5, 3, 1], [(3, 5)])),
+    "fnn_model_dims_disagree_with_weights": ("model", lambda ws: _fnn_model(
+        [5, 4, 1], [(3, 5), (1, 3)])),
+    "raw_not_utf8": ("raw", lambda ws: b"\xff\xfe" + ws.raw.read_bytes()),
     "config_section_not_object": ("config", lambda ws: json.dumps({"lr": 5})),
     "config_split_one_fraction": ("config", lambda ws: json.dumps({"split": [0.7]})),
     "config_misspelt_model_key": ("config", lambda ws: json.dumps({"rf": {"n_estimator": 3}})),
@@ -393,8 +433,10 @@ BAD_INPUT_FILES = {
 def test_bad_input_files_exit_data_with_one_line(case, workspace, tmp_path, capsys):
     kind, content = BAD_INPUT_FILES[case]
     bad = tmp_path / "bad_input"
-    bad.write_text(content(workspace))
+    data = content(workspace)
+    bad.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     argv = {
+        "raw": ["prepare", "--data", str(bad)],
         "model": ["evaluate", "--model-file", str(bad), "--dataset", str(workspace.dataset)],
         "config": ["prepare", "--data", str(workspace.raw), "--config", str(bad)],
         "dataset": ["train", "--model", "dt", "--dataset", str(bad)],
@@ -404,3 +446,59 @@ def test_bad_input_files_exit_data_with_one_line(case, workspace, tmp_path, caps
     assert rc == cli.EXIT_DATA
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert str(bad) in err
+
+
+def test_out_dir_that_cannot_be_created_exits_data(workspace, tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    rc = cli.main(["prepare", "--data", str(workspace.raw), "--out", str(blocker / "sub")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: cannot write {blocker / 'sub'}") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# saved model files under random damage
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def _damage(doc, data):
+    """Drop one key of, or put random JSON at, a random path below doc's root.
+
+    The walk enters the document and then goes one level deeper with
+    probability 3/4, so array entries are reached as well as whole sections.
+    """
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or data.draw(st.integers(0, 3))):
+        parent = node
+        key = data.draw(st.sampled_from(sorted(node)) if isinstance(node, dict)
+                        else st.integers(0, len(node) - 1))
+        node = node[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_JSON)
+    return doc
+
+
+@pytest.mark.parametrize("name", cli.MODEL_NAMES)
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_damaged_model_file_exits_ok_or_data(trained, name, data):
+    source = (trained.out / f"model_{name}.json").read_text()
+    bad = trained.root / f"damaged_{name}.json"
+    bad.write_text(json.dumps(_damage(json.loads(source), data)))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = cli.main(["evaluate", "--model-file", str(bad), "--dataset",
+                       str(trained.dataset), "--out", str(trained.root / "damaged_out")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_DATA)
+    if rc == cli.EXIT_DATA:
+        err = stderr.getvalue()
+        assert err.startswith("data error: ") and err.count("\n") == 1

@@ -321,6 +321,13 @@ def test_train_requires_more_rows_than_batch():
         train_network(X, y, TrainConfig(batch_size=32), seed=0)
 
 
+@pytest.mark.parametrize("layer_dims", [(), (5,), (4, 1), (5, 8, 2)])
+def test_train_rejects_layer_dims_not_from_inputs_to_one_output(layer_dims):
+    X, y = _train_data()
+    with pytest.raises(ValueError, match="layer_dims"):
+        train_network(X, y, TrainConfig(epochs=1), seed=0, layer_dims=layer_dims)
+
+
 def test_train_divergence_raises():
     X, y = _train_data(100)
     X = X.copy()
