@@ -296,9 +296,13 @@ def read_labeled_csv(path) -> LabeledDataset:
                 if not fields:
                     continue
                 date, open_, high, low, close, volume, next_close, target = fields
+                values = [float(close), float(volume), float(open_), float(high), float(low),
+                          float(next_close)]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"non-finite value in {fields[1:7]}")
                 dates.append(datetime.date.fromisoformat(date))
-                rows.append([float(close), float(volume), float(open_), float(high), float(low)])
-                nexts.append(float(next_close))
+                rows.append(values[:5])
+                nexts.append(values[5])
                 targets.append(int(target))
         except (ValueError, csv.Error) as exc:
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc

@@ -169,6 +169,9 @@ def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = Non
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
+    if config.batch_size < 1 or config.epochs < 0:
+        raise ValueError(f"batch_size must be at least 1 and epochs non-negative, got "
+                         f"batch_size={config.batch_size}, epochs={config.epochs}")
     if n <= config.batch_size:
         raise ValueError(f"need more than batch_size={config.batch_size} rows, got {n}")
     if not (0.0 <= config.validation_fraction < 1.0):

@@ -164,16 +164,51 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
 
 
 def predict_tree(root: SplitNode, x) -> float:
-    """Leaf probability of class 1 for one feature row; ties descend left."""
+    """Leaf probability of class 1 for one feature row; ties descend left.
+
+    The per-row reference that the tests hold :func:`tree_predict_proba` to.
+    """
     node = root
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.p_up
 
 
+def _flatten(root: SplitNode):
+    """Parallel node arrays (feature, threshold, left, right, p_up); leaves have feature -1."""
+    feature, threshold, left, right, p_up = [], [], [], [], []
+    stack = [(root, -1, False)]                    # (node, parent slot, is right child)
+    while stack:
+        node, parent, is_right = stack.pop()
+        i = len(feature)
+        if parent >= 0:
+            (right if is_right else left)[parent] = i
+        leaf = node.is_leaf
+        feature.append(-1 if leaf else node.feature)
+        threshold.append(0.0 if leaf else node.threshold)
+        p_up.append(node.p_up if leaf else 0.0)
+        left.append(-1)
+        right.append(-1)
+        if not leaf:
+            stack.append((node.right, i, True))
+            stack.append((node.left, i, False))
+    return (np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
+            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+            np.array(p_up, dtype=float))
+
+
 def tree_predict_proba(root: SplitNode, X: np.ndarray) -> np.ndarray:
+    """Leaf probability of class 1 per row; all rows descend one level per step."""
     X = np.asarray(X, dtype=float)
-    return np.array([predict_tree(root, x) for x in X])
+    feature, threshold, left, right, p_up = _flatten(root)
+    node = np.zeros(len(X), dtype=np.intp)
+    rows = np.flatnonzero(feature[node] >= 0)
+    while rows.size:
+        at = node[rows]
+        goes_left = X[rows, feature[at]] <= threshold[at]
+        node[rows] = np.where(goes_left, left[at], right[at])
+        rows = rows[feature[node[rows]] >= 0]
+    return p_up[node]
 
 
 def tree_predict(root: SplitNode, X: np.ndarray) -> np.ndarray:

@@ -187,6 +187,19 @@ def test_train_invalid_hyperparameters_exit_training(workspace, tmp_path, capsys
     assert "training error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("batch_size", 0), ("epochs", -1)])
+def test_train_fnn_out_of_range_hyperparameter_names_it(key, value, workspace, tmp_path,
+                                                        capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"fnn": {key: value}}))
+    rc = cli.main(["train", "--model", "fnn", "--config", str(config),
+                   "--dataset", str(workspace.dataset), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_TRAINING
+    assert err.startswith("training error: ") and err.count("\n") == 1
+    assert f"{key}={value}" in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -426,6 +439,10 @@ BAD_INPUT_FILES = {
         ws, 5, lambda f: ",".join(f[:4] + ["abc"] + f[5:]))),
     "dataset_short_row": ("dataset", lambda ws: _dataset_with_line(
         ws, 5, lambda f: ",".join(f[:3]))),
+    "dataset_nan_open": ("dataset", lambda ws: _dataset_with_line(
+        ws, 5, lambda f: ",".join(f[:1] + ["nan"] + f[2:]))),
+    "dataset_inf_next": ("dataset", lambda ws: _dataset_with_line(
+        ws, 5, lambda f: ",".join(f[:6] + ["inf"] + f[7:]))),
 }
 
 

@@ -212,6 +212,40 @@ def test_tree_predictions_invariant_under_monotone_transform():
                               tree_predict_proba(transformed, X_t))
 
 
+def _rows_with_ties(root, X):
+    """X plus, at every split, the rows that reach it with the split feature set
+    to the threshold itself; the altered rows still reach that split."""
+    out = [X]
+    stack = [(root, X)]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf or len(rows) == 0:
+            continue
+        tie = rows.copy()
+        tie[:, node.feature] = node.threshold
+        out.append(tie)
+        goes_left = rows[:, node.feature] <= node.threshold
+        stack += [(node.left, rows[goes_left]), (node.right, rows[~goes_left])]
+    return np.vstack(out)
+
+
+def test_tree_predict_proba_matches_scalar_reference():
+    X, y = separable_classification(150, seed=12)
+    dt = fit_tree(X, y, TreeParams(100, 2, 5))
+    forest = fit_forest(X, y, n_estimators=6, params=TreeParams(8, 4, 3), seed=5)
+    for root in [dt, *forest.trees]:
+        Q = _rows_with_ties(root, X)
+        assert len(Q) > len(X)
+        got = tree_predict_proba(root, Q)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [predict_tree(root, x) for x in Q])
+
+    leaf = SplitNode(p_up=0.7, n_samples=10)
+    assert np.array_equal(tree_predict_proba(leaf, X), [0.7] * len(X))
+    empty = tree_predict_proba(dt, np.empty((0, 5)))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 
