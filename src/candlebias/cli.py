@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -121,7 +122,7 @@ def _merge_config(args) -> RunConfig:
         if data_dir:
             cfg["data"] = os.path.join(data_dir, DATA_FILE_NAME)
 
-    if cfg["format"] not in ("csv", "json", "table"):
+    if cfg["format"] not in metrics.REPORT_FORMATS:
         raise DataError(f"unknown report format {cfg['format']!r}")
     train_frac, val_frac = cfg["split"]
     return RunConfig(
@@ -271,13 +272,22 @@ def detect_model_kind(doc) -> str:
     raise DataError("unrecognized model file format")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_model(path: Path):
     """Read and decode a model file; returns (model name, model).
 
-    Every unreadable or malformed file raises DataError naming the file.
+    Every unreadable or malformed file raises DataError naming the file, and
+    so does a NaN, an Infinity or a number too large for a float.
     """
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"),
+                         parse_float=_finite_float, parse_constant=_finite_float)
         name = detect_model_kind(doc)
         return name, MODELS[name].load(doc)
     except KeyError as exc:
@@ -296,8 +306,8 @@ def _evaluate(name: str, model, ds: dataset.LabeledDataset,
 
 
 def _write_report(config: RunConfig, stem: str, text: str) -> Path:
-    ext = {"csv": "csv", "json": "json", "table": "txt"}[config.report_format]
-    path = config.out_dir / f"{stem}.{ext}"
+    extension, _ = metrics.REPORT_FORMATS[config.report_format]
+    path = config.out_dir / f"{stem}.{extension}"
     path.write_text(text, encoding="utf-8")
     return path
 
@@ -404,7 +414,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, help="master seed (default 42)")
     common.add_argument("--split", type=_parse_split,
                         help="train,validation fractions, e.g. 0.7,0.15")
-    common.add_argument("--format", choices=["csv", "json", "table"],
+    common.add_argument("--format", choices=list(metrics.REPORT_FORMATS),
                         help="report format (default table)")
     common.add_argument("--out", help="output directory (default ./out)")
     common.add_argument("--dataset", help="prepared dataset CSV "

@@ -78,8 +78,9 @@ def train(X: np.ndarray, y: np.ndarray,
     with a constant-1 intercept column prepended to X. The cost after each
     update is recorded.
     """
-    if alpha <= 0.0 or epochs < 0:
-        raise ValueError("alpha must be positive and epochs non-negative")
+    if not 0.0 < alpha < np.inf or epochs < 0:
+        raise ValueError(f"alpha must be positive and finite and epochs non-negative, "
+                         f"got alpha={alpha}, epochs={epochs}")
     Xb = _with_intercept(X)
     y = np.asarray(y, dtype=float)
     n = len(y)

@@ -139,12 +139,17 @@ def write_history_csv(path, columns: dict) -> None:
             writer.writerow([epoch, *row])
 
 
+# report format -> (file extension, renderer of (reports, metadata, footnote))
+REPORT_FORMATS = {
+    "csv": ("csv", lambda reports, metadata, footnote: render_csv(reports)),
+    "json": ("json", lambda reports, metadata, footnote: render_json(reports, metadata)),
+    "table": ("txt", lambda reports, metadata, footnote: render_table(reports, footnote)),
+}
+
+
 def render(reports, fmt: str, metadata: dict | None = None,
            footnote: str | None = None) -> str:
-    if fmt == "csv":
-        return render_csv(reports)
-    if fmt == "json":
-        return render_json(reports, metadata)
-    if fmt == "table":
-        return render_table(reports, footnote)
-    raise ValueError(f"unknown report format {fmt!r}")
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    _, renderer = REPORT_FORMATS[fmt]
+    return renderer(reports, metadata, footnote)

@@ -151,9 +151,10 @@ def adam_step(params: list, grads: list, state: AdamState) -> list:
 
 
 def _check_layer_dims(layer_dims, n_inputs: int) -> None:
-    if len(layer_dims) < 2 or layer_dims[0] != n_inputs or layer_dims[-1] != 1:
+    if (len(layer_dims) < 2 or layer_dims[0] != n_inputs or layer_dims[-1] != 1
+            or any(width < 1 for width in layer_dims)):
         raise ValueError(f"layer_dims must run from {n_inputs} inputs to 1 output, "
-                         f"got {list(layer_dims)}")
+                         f"every width at least 1, got {list(layer_dims)}")
 
 
 def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None,

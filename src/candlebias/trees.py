@@ -3,12 +3,16 @@
 Trees consume raw (unstandardized) features; axis-aligned thresholds are
 scale-equivariant. All randomness flows through :func:`candlebias.seeding.mix64`,
 and tree t of a forest depends only on (master seed, t).
+
+A tree is one :class:`Tree` of parallel node arrays, which fitting grows and
+prediction reads; only a model file nests it (node_to_dict, node_from_dict).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,20 +47,28 @@ class TreeParams:
         return cls(int(d["max_depth"]), int(d["min_samples_split"]), int(d["max_features"]))
 
 
-@dataclass
-class SplitNode:
-    """Internal node (feature, threshold, children) or leaf (p_up, n_samples)."""
+class Tree(NamedTuple):
+    """Parallel node arrays in preorder; node 0 is the root.
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: "SplitNode | None" = None
-    right: "SplitNode | None" = None
-    p_up: float | None = None
-    n_samples: int | None = None
+    A split sends rows with x[feature] <= threshold to node left, others to
+    node right. A leaf has feature, left and right -1 and holds p_up, the
+    fraction of class 1 among its n training rows; splits hold p_up 0, n 0.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.p_up is not None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    p_up: np.ndarray
+    n: np.ndarray
+
+
+def _tree(nodes: list) -> Tree:
+    """Tree from preorder rows [feature, threshold, left, right, p_up, n]."""
+    feature, threshold, left, right, p_up, n = zip(*nodes)
+    return Tree(np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
+                np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                np.array(p_up, dtype=float), np.array(n, dtype=np.intp))
 
 
 @dataclass
@@ -125,7 +137,7 @@ def best_split(X: np.ndarray, y: np.ndarray, candidate_features=None):
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
-             feature_sampler: np.random.Generator | None = None) -> SplitNode:
+             feature_sampler: np.random.Generator | None = None) -> Tree:
     """Grow a tree greedily; rows with x[feature] <= threshold go left.
 
     A node becomes a leaf when it is pure, the depth cap is hit, it holds
@@ -137,70 +149,45 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
     y = np.asarray(y)
     params = params or TreeParams()
     params.validate(X.shape[1])
+    nodes = []
 
-    def grow(X, y, depth):
+    def grow(X, y, depth) -> int:
         n = len(y)
         pos = int(y.sum())
+        i = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, pos / n, n])        # a leaf unless it splits
         if pos == 0 or pos == n or depth >= params.max_depth or n < params.min_samples_split:
-            return SplitNode(p_up=pos / n, n_samples=n)
-        if feature_sampler is not None:
-            candidates = feature_sampler.choice(X.shape[1], size=params.max_features,
-                                                replace=False)
-        else:
-            candidates = None
+            return i
+        candidates = None if feature_sampler is None else feature_sampler.choice(
+            X.shape[1], size=params.max_features, replace=False)
         split = best_split(X, y, candidates)
         if split is None:
-            return SplitNode(p_up=pos / n, n_samples=n)
+            return i
         f, threshold, _ = split
         mask = X[:, f] <= threshold
-        return SplitNode(
-            feature=f,
-            threshold=threshold,
-            left=grow(X[mask], y[mask], depth + 1),
-            right=grow(X[~mask], y[~mask], depth + 1),
-        )
+        nodes[i] = [f, threshold, grow(X[mask], y[mask], depth + 1),
+                    grow(X[~mask], y[~mask], depth + 1), 0.0, 0]
+        return i
 
-    return grow(X, y, 0)
+    grow(X, y, 0)
+    return _tree(nodes)
 
 
-def predict_tree(root: SplitNode, x) -> float:
+def predict_tree(tree: Tree, x) -> float:
     """Leaf probability of class 1 for one feature row; ties descend left.
 
     The per-row reference that the tests hold :func:`tree_predict_proba` to.
     """
-    node = root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.p_up
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return float(tree.p_up[i])
 
 
-def _flatten(root: SplitNode):
-    """Parallel node arrays (feature, threshold, left, right, p_up); leaves have feature -1."""
-    feature, threshold, left, right, p_up = [], [], [], [], []
-    stack = [(root, -1, False)]                    # (node, parent slot, is right child)
-    while stack:
-        node, parent, is_right = stack.pop()
-        i = len(feature)
-        if parent >= 0:
-            (right if is_right else left)[parent] = i
-        leaf = node.is_leaf
-        feature.append(-1 if leaf else node.feature)
-        threshold.append(0.0 if leaf else node.threshold)
-        p_up.append(node.p_up if leaf else 0.0)
-        left.append(-1)
-        right.append(-1)
-        if not leaf:
-            stack.append((node.right, i, True))
-            stack.append((node.left, i, False))
-    return (np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
-            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-            np.array(p_up, dtype=float))
-
-
-def tree_predict_proba(root: SplitNode, X: np.ndarray) -> np.ndarray:
+def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Leaf probability of class 1 per row; all rows descend one level per step."""
     X = np.asarray(X, dtype=float)
-    feature, threshold, left, right, p_up = _flatten(root)
+    feature, threshold, left, right, p_up, _ = tree
     node = np.zeros(len(X), dtype=np.intp)
     rows = np.flatnonzero(feature[node] >= 0)
     while rows.size:
@@ -211,8 +198,8 @@ def tree_predict_proba(root: SplitNode, X: np.ndarray) -> np.ndarray:
     return p_up[node]
 
 
-def tree_predict(root: SplitNode, X: np.ndarray) -> np.ndarray:
-    return (tree_predict_proba(root, X) >= 0.5).astype(np.int64)
+def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    return (tree_predict_proba(tree, X) >= 0.5).astype(np.int64)
 
 
 def bootstrap_sample(n: int, seed: int) -> np.ndarray:
@@ -271,12 +258,12 @@ def oob_error(forest: ForestModel, X: np.ndarray, y: np.ndarray) -> float | None
 
     prob_sum = np.zeros(n)
     tree_count = np.zeros(n, dtype=np.int64)
-    for root, idx in zip(forest.trees, forest.bootstrap_indices):
+    for tree, idx in zip(forest.trees, forest.bootstrap_indices):
         oob_mask = np.ones(n, dtype=bool)
         oob_mask[np.asarray(idx)] = False
         if not oob_mask.any():
             continue
-        prob_sum[oob_mask] += tree_predict_proba(root, X[oob_mask])
+        prob_sum[oob_mask] += tree_predict_proba(tree, X[oob_mask])
         tree_count[oob_mask] += 1
 
     covered = tree_count > 0
@@ -290,34 +277,44 @@ def oob_error(forest: ForestModel, X: np.ndarray, y: np.ndarray) -> float | None
 def predict_forest(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Class 1 when the mean leaf probability over trees is at least 0.5."""
     X = np.asarray(X, dtype=float)
-    mean_p = np.mean([tree_predict_proba(root, X) for root in forest.trees], axis=0)
-    return (mean_p >= 0.5).astype(np.int64)
+    total = np.zeros(len(X))      # summed in tree order, the order np.mean's sum takes
+    for tree in forest.trees:
+        total += tree_predict_proba(tree, X)
+    return (total / len(forest.trees) >= 0.5).astype(np.int64)
 
 
-def node_to_dict(node: SplitNode) -> dict:
-    if node.is_leaf:
-        return {"p_up": node.p_up, "n": node.n_samples}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": node_to_dict(node.left),
-        "right": node_to_dict(node.right),
-    }
+def node_to_dict(tree: Tree) -> dict:
+    """The nested JSON form of a tree: {feature, threshold, left, right} or {p_up, n}."""
+    feature, threshold, left, right, p_up, n = (column.tolist() for column in tree)
+
+    def node(i):
+        if feature[i] < 0:
+            return {"p_up": p_up[i], "n": n[i]}
+        return {"feature": feature[i], "threshold": threshold[i],
+                "left": node(left[i]), "right": node(right[i])}
+
+    return node(0)
 
 
-def node_from_dict(d: dict) -> SplitNode:
-    if "p_up" in d:
-        return SplitNode(p_up=float(d["p_up"]), n_samples=int(d["n"]))
-    feature = d["feature"]
-    if type(feature) is not int or not 0 <= feature < N_FEATURES:
-        raise ValueError(f"split feature must be an integer in 0..{N_FEATURES - 1}, "
-                         f"got {feature!r}")
-    return SplitNode(
-        feature=feature,
-        threshold=float(d["threshold"]),
-        left=node_from_dict(d["left"]),
-        right=node_from_dict(d["right"]),
-    )
+def node_from_dict(d: dict) -> Tree:
+    """A tree from its nested JSON form; split features must be ints in range."""
+    nodes = []
+
+    def add(d) -> int:
+        i = len(nodes)
+        nodes.append(None)
+        if "p_up" in d:
+            nodes[i] = [-1, 0.0, -1, -1, float(d["p_up"]), int(d["n"])]
+            return i
+        feature = d["feature"]
+        if type(feature) is not int or not 0 <= feature < N_FEATURES:
+            raise ValueError(f"split feature must be an integer in 0..{N_FEATURES - 1}, "
+                             f"got {feature!r}")
+        nodes[i] = [feature, float(d["threshold"]), add(d["left"]), add(d["right"]), 0.0, 0]
+        return i
+
+    add(d)
+    return _tree(nodes)
 
 
 def forest_to_dict(forest: ForestModel) -> dict:
@@ -326,7 +323,7 @@ def forest_to_dict(forest: ForestModel) -> dict:
         "seed": forest.seed,
         "params": forest.params.as_dict(),
         "oob_error": forest.oob_error,
-        "trees": [node_to_dict(root) for root in forest.trees],
+        "trees": [node_to_dict(tree) for tree in forest.trees],
     }
 
 

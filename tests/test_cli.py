@@ -431,6 +431,10 @@ BAD_INPUT_FILES = {
     "fnn_model_weights_cut_short": ("model", lambda ws: _fnn_model([5, 3, 1], [(3, 5)])),
     "fnn_model_dims_disagree_with_weights": ("model", lambda ws: _fnn_model(
         [5, 4, 1], [(3, 5), (1, 3)])),
+    "lr_theta_nan": ("model", lambda ws: _lr_model(_LR_THETA, 5).replace("1.0", "NaN", 1)),
+    "rf_leaf_infinity": ("model", lambda ws: _rf_model([_LEAF]).replace("1.0", "Infinity", 1)),
+    "dt_threshold_overflows_float": ("model", lambda ws: json.dumps(_split(0)).replace(
+        "0.0", "1e400", 1)),
     "raw_not_utf8": ("raw", lambda ws: b"\xff\xfe" + ws.raw.read_bytes()),
     "config_section_not_object": ("config", lambda ws: json.dumps({"lr": 5})),
     "config_split_one_fraction": ("config", lambda ws: json.dumps({"split": [0.7]})),
@@ -519,3 +523,38 @@ def test_damaged_model_file_exits_ok_or_data(trained, name, data):
     if rc == cli.EXIT_DATA:
         err = stderr.getvalue()
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# config files with random values in a model's section
+
+# Values stay small so that no example trains for long or allocates much.
+_ANY_VALUE = (st.integers(-3, 40) | st.floats(-2.0, 2.0) | st.just(float("nan"))
+              | st.text(max_size=3) | st.lists(st.integers(-3, 12), max_size=4))
+_VALUE_LIKE = {int: st.integers(-3, 40), float: st.floats(-2.0, 2.0) | st.just(float("nan")),
+               list: st.tuples(st.just(5), st.integers(-3, 12), st.just(1)).map(list)}
+
+
+@pytest.mark.parametrize("name", cli.MODEL_NAMES)
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_random_model_config_exits_ok_or_with_one_line(workspace, name, data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(cli.DEFAULT_CONFIG[name])),
+                              min_size=1, max_size=3, unique=True))
+    section = dict(FAST_CONFIG.get(name, {}))
+    for key in keys:  # half the values take the type of the key's default
+        like = _VALUE_LIKE[type(cli.DEFAULT_CONFIG[name][key])]
+        section[key] = data.draw(like if data.draw(st.booleans()) else _ANY_VALUE)
+    config = workspace.root / f"fuzz_{name}.json"
+    config.write_text(json.dumps({**FAST_CONFIG, name: section}))
+    common = ["--dataset", str(workspace.dataset), "--out", str(workspace.root / "fuzz_out")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = cli.main(["train", "--model", name, "--config", str(config), *common])
+        # a model file that train wrote must load and score
+        evaluated = cli.main(["evaluate", "--model", name, *common]) if rc == 0 else 0
+    assert rc in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_TRAINING) and evaluated == 0
+    if rc != cli.EXIT_OK:
+        err = stderr.getvalue()
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("data error: " if rc == cli.EXIT_DATA else "training error: ")

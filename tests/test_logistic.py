@@ -165,6 +165,14 @@ def test_train_zero_epochs():
     assert logistic.predict(model, X).tolist() == [1, 1]
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, math.inf])
+def test_train_rejects_alpha_not_positive_and_finite(alpha):
+    # zero epochs never reach the divergence check, so only this check stops
+    # a NaN alpha from being written into the model file
+    with pytest.raises(ValueError, match="alpha"):
+        logistic.train(np.array([[-1.0], [1.0]]), np.array([0, 1]), alpha=alpha, epochs=0)
+
+
 def test_train_cost_history_properties():
     rng = np.random.default_rng(42)
     X = rng.normal(size=(64, 5))

@@ -321,7 +321,7 @@ def test_train_requires_more_rows_than_batch():
         train_network(X, y, TrainConfig(batch_size=32), seed=0)
 
 
-@pytest.mark.parametrize("layer_dims", [(), (5,), (4, 1), (5, 8, 2)])
+@pytest.mark.parametrize("layer_dims", [(), (5,), (4, 1), (5, 8, 2), (5, 0, 1), (5, -3, 1)])
 def test_train_rejects_layer_dims_not_from_inputs_to_one_output(layer_dims):
     X, y = _train_data()
     with pytest.raises(ValueError, match="layer_dims"):

@@ -6,7 +6,6 @@ import pytest
 from candlebias import trees
 from candlebias.trees import (
     ForestModel,
-    SplitNode,
     TreeParams,
     best_split,
     bootstrap_sample,
@@ -136,17 +135,17 @@ def test_best_split_candidate_order_irrelevant():
 def test_fit_tree_min_samples_makes_single_leaf():
     X = np.arange(10.0).reshape(-1, 1)
     y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    root = fit_tree(X, y, TreeParams(max_depth=100, min_samples_split=11, max_features=1))
-    assert root.is_leaf
-    assert root.p_up == 0.5
-    assert root.n_samples == 10
+    tree = fit_tree(X, y, TreeParams(max_depth=100, min_samples_split=11, max_features=1))
+    assert tree.feature.tolist() == [-1]
+    assert tree.p_up[0] == 0.5
+    assert tree.n[0] == 10
 
 
 def test_fit_tree_pure_labels_single_leaf():
     X = np.arange(6.0).reshape(-1, 1)
-    root = fit_tree(X, np.ones(6, dtype=int),
+    tree = fit_tree(X, np.ones(6, dtype=int),
                     TreeParams(max_depth=100, min_samples_split=2, max_features=1))
-    assert root.is_leaf and root.p_up == 1.0
+    assert tree.feature.tolist() == [-1] and tree.p_up[0] == 1.0
 
 
 def test_fit_tree_memorizes_consistent_data():
@@ -155,46 +154,46 @@ def test_fit_tree_memorizes_consistent_data():
         n = int(rng.integers(4, 65))
         X = rng.normal(size=(n, 5))  # continuous: duplicate rows have measure zero
         y = rng.integers(0, 2, size=n)
-        root = fit_tree(X, y, TreeParams(max_depth=100, min_samples_split=2, max_features=5))
-        assert np.array_equal(tree_predict(root, X), y)
+        tree = fit_tree(X, y, TreeParams(max_depth=100, min_samples_split=2, max_features=5))
+        assert np.array_equal(tree_predict(tree, X), y)
 
 
 def test_fit_tree_respects_max_depth():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(200, 5))
     y = rng.integers(0, 2, size=200)
-    root = fit_tree(X, y, TreeParams(max_depth=2, min_samples_split=2, max_features=5))
+    tree = fit_tree(X, y, TreeParams(max_depth=2, min_samples_split=2, max_features=5))
 
-    def depth(node):
-        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+    def depth(i):
+        return 0 if tree.feature[i] < 0 else 1 + max(depth(tree.left[i]), depth(tree.right[i]))
 
-    assert depth(root) <= 2
+    assert depth(0) <= 2
 
 
 def test_predict_tree_single_leaf():
-    leaf = SplitNode(p_up=0.7, n_samples=10)
+    leaf = node_from_dict({"p_up": 0.7, "n": 10})
     assert predict_tree(leaf, np.zeros(5)) == 0.7
 
 
 def test_predict_tree_tie_goes_left():
-    root = SplitNode(feature=0, threshold=1.5,
-                     left=SplitNode(p_up=0.2, n_samples=1),
-                     right=SplitNode(p_up=0.9, n_samples=1))
-    assert predict_tree(root, np.array([1.5, 0, 0, 0, 0])) == 0.2
+    tree = node_from_dict({"feature": 0, "threshold": 1.5,
+                           "left": {"p_up": 0.2, "n": 1}, "right": {"p_up": 0.9, "n": 1}})
+    assert predict_tree(tree, np.array([1.5, 0, 0, 0, 0])) == 0.2
 
 
 def test_predict_tree_depth_two_trace():
     # x0 <= 2 ? (x1 <= 10 ? 0.1 : 0.6) : 0.9, traced by hand
-    root = SplitNode(
-        feature=0, threshold=2.0,
-        left=SplitNode(feature=1, threshold=10.0,
-                       left=SplitNode(p_up=0.1, n_samples=4),
-                       right=SplitNode(p_up=0.6, n_samples=3)),
-        right=SplitNode(p_up=0.9, n_samples=5),
-    )
-    assert predict_tree(root, np.array([1.0, 12.0, 0, 0, 0])) == 0.6
-    assert predict_tree(root, np.array([1.0, 9.0, 0, 0, 0])) == 0.1
-    assert predict_tree(root, np.array([3.0, 0.0, 0, 0, 0])) == 0.9
+    tree = node_from_dict({
+        "feature": 0, "threshold": 2.0,
+        "left": {"feature": 1, "threshold": 10.0,
+                 "left": {"p_up": 0.1, "n": 4},
+                 "right": {"p_up": 0.6, "n": 3}},
+        "right": {"p_up": 0.9, "n": 5},
+    })
+    assert tree.left.tolist() == [1, 2, -1, -1, -1]   # preorder, node 0 the root
+    assert predict_tree(tree, np.array([1.0, 12.0, 0, 0, 0])) == 0.6
+    assert predict_tree(tree, np.array([1.0, 9.0, 0, 0, 0])) == 0.1
+    assert predict_tree(tree, np.array([3.0, 0.0, 0, 0, 0])) == 0.9
 
 
 def test_tree_predictions_invariant_under_monotone_transform():
@@ -212,20 +211,21 @@ def test_tree_predictions_invariant_under_monotone_transform():
                               tree_predict_proba(transformed, X_t))
 
 
-def _rows_with_ties(root, X):
+def _rows_with_ties(tree, X):
     """X plus, at every split, the rows that reach it with the split feature set
     to the threshold itself; the altered rows still reach that split."""
     out = [X]
-    stack = [(root, X)]
+    stack = [(0, X)]
     while stack:
-        node, rows = stack.pop()
-        if node.is_leaf or len(rows) == 0:
+        i, rows = stack.pop()
+        f, threshold = tree.feature[i], tree.threshold[i]
+        if f < 0 or len(rows) == 0:
             continue
         tie = rows.copy()
-        tie[:, node.feature] = node.threshold
+        tie[:, f] = threshold
         out.append(tie)
-        goes_left = rows[:, node.feature] <= node.threshold
-        stack += [(node.left, rows[goes_left]), (node.right, rows[~goes_left])]
+        goes_left = rows[:, f] <= threshold
+        stack += [(tree.left[i], rows[goes_left]), (tree.right[i], rows[~goes_left])]
     return np.vstack(out)
 
 
@@ -233,14 +233,14 @@ def test_tree_predict_proba_matches_scalar_reference():
     X, y = separable_classification(150, seed=12)
     dt = fit_tree(X, y, TreeParams(100, 2, 5))
     forest = fit_forest(X, y, n_estimators=6, params=TreeParams(8, 4, 3), seed=5)
-    for root in [dt, *forest.trees]:
-        Q = _rows_with_ties(root, X)
+    for tree in [dt, *forest.trees]:
+        Q = _rows_with_ties(tree, X)
         assert len(Q) > len(X)
-        got = tree_predict_proba(root, Q)
+        got = tree_predict_proba(tree, Q)
         assert got.dtype == np.float64
-        assert np.array_equal(got, [predict_tree(root, x) for x in Q])
+        assert np.array_equal(got, [predict_tree(tree, x) for x in Q])
 
-    leaf = SplitNode(p_up=0.7, n_samples=10)
+    leaf = node_from_dict({"p_up": 0.7, "n": 10})
     assert np.array_equal(tree_predict_proba(leaf, X), [0.7] * len(X))
     empty = tree_predict_proba(dt, np.empty((0, 5)))
     assert empty.dtype == np.float64 and empty.shape == (0,)
@@ -352,26 +352,35 @@ def test_oob_error_close_to_held_out_validation_error():
 # predict_forest
 
 def test_predict_forest_all_up_leaves():
-    forest = ForestModel(trees=[SplitNode(p_up=1.0, n_samples=1)] * 3,
+    forest = ForestModel(trees=[node_from_dict({"p_up": 1.0, "n": 1})] * 3,
                          params=TreeParams(), n_estimators=3, seed=0)
     assert predict_forest(forest, np.zeros((4, 5))).tolist() == [1, 1, 1, 1]
 
 
 def test_predict_forest_mean_tie_maps_to_one():
-    forest = ForestModel(trees=[SplitNode(p_up=0.2, n_samples=1),
-                                SplitNode(p_up=0.8, n_samples=1)],
+    forest = ForestModel(trees=[node_from_dict({"p_up": 0.2, "n": 1}),
+                                node_from_dict({"p_up": 0.8, "n": 1})],
                          params=TreeParams(), n_estimators=2, seed=0)
     assert predict_forest(forest, np.zeros((1, 5))).tolist() == [1]
+
+
+def test_predict_forest_thresholds_the_mean_of_its_trees():
+    X, y = separable_classification(150, seed=12)
+    forest = fit_forest(X, y, n_estimators=8, params=TreeParams(8, 4, 3), seed=5)
+    Q = np.vstack([X, np.random.default_rng(0).normal(size=(500, 5))])
+    mean_p = np.mean([tree_predict_proba(tree, Q) for tree in forest.trees], axis=0)
+    assert np.any(mean_p == 0.5)  # ties occur, and they map to 1
+    assert np.array_equal(predict_forest(forest, Q), (mean_p >= 0.5).astype(np.int64))
 
 
 def test_predict_forest_single_tree_equals_thresholded_tree():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(30, 5))
     y = rng.integers(0, 2, size=30)
-    root = fit_tree(X, y, TreeParams(10, 2, 5))
-    forest = ForestModel(trees=[root], params=TreeParams(10, 2, 5),
+    tree = fit_tree(X, y, TreeParams(10, 2, 5))
+    forest = ForestModel(trees=[tree], params=TreeParams(10, 2, 5),
                          n_estimators=1, seed=0)
-    assert np.array_equal(predict_forest(forest, X), tree_predict(root, X))
+    assert np.array_equal(predict_forest(forest, X), tree_predict(tree, X))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +390,24 @@ def test_node_round_trip():
     rng = np.random.default_rng(30)
     X = rng.normal(size=(50, 5))
     y = rng.integers(0, 2, size=50)
-    root = fit_tree(X, y, TreeParams(6, 2, 5))
-    doc = node_to_dict(root)
+    tree = fit_tree(X, y, TreeParams(6, 2, 5))
+    doc = node_to_dict(tree)
     back = node_from_dict(json.loads(json.dumps(doc)))
-    assert np.array_equal(tree_predict_proba(back, X), tree_predict_proba(root, X))
+    assert np.array_equal(tree_predict_proba(back, X), tree_predict_proba(tree, X))
+
+
+def test_node_json_round_trip_is_exact_and_loads_the_fitted_arrays():
+    X, y = separable_classification(150, seed=12)
+    dt = fit_tree(X, y, TreeParams(100, 2, 5))
+    forest = fit_forest(X, y, n_estimators=6, params=TreeParams(8, 4, 3), seed=5)
+    for tree in [dt, *forest.trees]:
+        doc = json.loads(json.dumps(node_to_dict(tree)))
+        back = node_from_dict(doc)
+        assert json.dumps(node_to_dict(back)) == json.dumps(doc)
+        for fitted, loaded in zip(tree, back):
+            assert fitted.dtype == loaded.dtype and np.array_equal(fitted, loaded)
+        Q = _rows_with_ties(back, X)
+        assert np.array_equal(tree_predict_proba(back, Q), [predict_tree(back, x) for x in Q])
 
 
 def test_forest_round_trip():
