@@ -558,3 +558,70 @@ def test_random_model_config_exits_ok_or_with_one_line(workspace, name, data):
         err = stderr.getvalue()
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("data error: " if rc == cli.EXIT_DATA else "training error: ")
+
+
+# ---------------------------------------------------------------------------
+# raw CSVs and prepared datasets under random damage
+
+_CELL = (st.text(max_size=5)
+         | st.sampled_from(["", " ", "nan", "inf", "-1", "0", "1e400", " 6758 ", "06758",
+                            "6758", "2021-02-30", "2021-01-04", '"', ",", "\n"]))
+
+
+def _damage_lines(lines, data):
+    """Apply 1-4 random edits to the cells and rows of comma-joined lines.
+
+    An edit replaces, drops or appends a cell, or inserts a blank or random row.
+    Cells are joined without quoting, so random text can also break the CSV.
+    """
+    rows = [line.split(",") for line in lines]
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        edit = data.draw(st.sampled_from(["cell", "drop", "append", "blank", "row"]))
+        if edit == "cell" and rows[i]:
+            rows[i][data.draw(st.integers(0, len(rows[i]) - 1))] = data.draw(_CELL)
+        elif edit == "drop" and rows[i]:
+            del rows[i][data.draw(st.integers(0, len(rows[i]) - 1))]
+        elif edit == "append":
+            rows[i].append(data.draw(_CELL))
+        elif edit == "blank":
+            rows.insert(i, [])
+        elif edit == "row":
+            rows.insert(i, data.draw(st.lists(_CELL, max_size=10)))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _run_quietly(argv):
+    """cli.main's exit status and stderr, with stdout discarded."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = cli.main(argv)
+    return rc, stderr.getvalue()
+
+
+def _assert_ok_or_one_data_error_line(rc, err):
+    assert rc in (cli.EXIT_OK, cli.EXIT_DATA)
+    if rc == cli.EXIT_DATA:
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_damaged_raw_csv_prepares_or_exits_data(workspace, data):
+    raw = workspace.root / "damaged_raw.csv"
+    lines = workspace.raw.read_text(encoding="utf-8").splitlines()[:30]
+    raw.write_text(_damage_lines(lines, data), encoding="utf-8")
+    _assert_ok_or_one_data_error_line(*_run_quietly(
+        ["prepare", "--data", str(raw), "--out", str(workspace.root / "damaged_raw_out")]))
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_damaged_dataset_evaluates_or_exits_data(trained, data):
+    bad = trained.root / "damaged_dataset.csv"
+    lines = trained.dataset.read_text(encoding="utf-8").splitlines()[:40]
+    bad.write_text(_damage_lines(lines, data), encoding="utf-8")
+    _assert_ok_or_one_data_error_line(*_run_quietly(
+        ["evaluate", "--model-file", str(trained.out / "model_lr.json"), "--dataset", str(bad),
+         "--out", str(trained.root / "damaged_dataset_out")]))

@@ -1,11 +1,14 @@
 import dataclasses
 import datetime
+import hashlib
 
 import numpy as np
 import pytest
 
+from candlebias import cli
 from candlebias.dataset import (
     CandleRecord,
+    IngestStats,
     LabeledDataset,
     apply_standardizer,
     fit_standardizer,
@@ -127,6 +130,56 @@ def test_ingest_is_idempotent_on_canonical_output(tmp_path):
     records2, stats2 = ingest_csv(canon, 6758)
     assert records2 == records
     assert stats2.dropped_missing == 0 and stats2.dropped_malformed == 0
+
+
+
+# One security's candles behind a duplicated Close header, among every kind of
+# row ingest must skip, drop or count. The first Close column is a decoy: a
+# repeated header name resolves to its last column.
+PARITY_RAW = """RowId,Date,SecuritiesCode,Open,High,Low,Close,Volume,Close
+a,2021-01-06,6758,100,110,95,x,1000,105
+b,2021-01-04,6758,98,104,97,x,900,101
+
+c,2021-01-05, 6758 ,101,106,99,x,950,103
+d,2021-01-07,06758,105,112,100,x,1100,108
+e,2021-01-07,7203,50,55,48,x,9000,52
+f,2021-01-08,6758,108,115
+g,2021-01-11,6758,108,115,104,x,1200,110,extra,cells
+h,2021-01-12,6758,110,118,108,x,1300,115
+i,2021-01-13,6758,115,117,116,x,1400,116
+j,2021-01-14,6758,116,120,112,x,,119
+k,2021-01-15,6758,116,120,112,x,1500,inf
+l,not-a-date,6758,116,120,112,x,1500,118
+m,2021-01-18,6758,-1,120,112,x,1500,118
+n,2021-01-19,6758,119,124,117,x,1600,121
+"o,1",2021-01-20,6758,121,126,120,x,1700,125
+p,2021-01-22,6758,126,127,122,x,1650,123
+q,2021-01-21,6758,125,129,123,x,1800,126
+r,2021-01-25,6758.0,123,125,120,x,1500,124
+s,2021-01-25,6758,123,125,120,x,1500,124
+t,2021-01-26,6758,124,122,119,x,1500,121
+
+u,2021-01-27,6758,121,126,120,x,1900,125
+v,2021-01-28,,121,126,120,x,1900,125
+w
+x,2021-01-29,6758,125,130,124,x,2000,129
+y,2021-02-01,6758,129,131,127,x,2100,130
+"""
+
+# Taken from the DictReader ingest that columnar ingest replaced; edit neither.
+PARITY_STATS = IngestStats(total_rows=25, matched_rows=21, dropped_missing=4,
+                           dropped_malformed=3)
+PARITY_DATASET_SHA256 = "e0010b553cfb13cbb0bb6a0abe5f1c30fbf806907514f5268fb050a34a6ecf0b"
+
+
+def test_ingest_and_prepare_match_the_dict_reader_ingest(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(PARITY_RAW, encoding="utf-8")
+    _, stats = ingest_csv(raw, 6758)
+    assert stats == PARITY_STATS
+    assert cli.main(["prepare", "--data", str(raw), "--out", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "dataset.csv").read_bytes()).hexdigest()
+    assert digest == PARITY_DATASET_SHA256
 
 
 # ---------------------------------------------------------------------------
