@@ -252,7 +252,7 @@ def _train_and_save(name: str, ds: dataset.LabeledDataset, config: RunConfig) ->
     X, y = ds.rows(ds.split.train), ds.labels(ds.split.train)
     try:
         doc, history = spec.fit(ds, X, y, config.models[name], config.model_seed(name))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: a tree too deep to grow
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
 
     _make_out_dir(config)
@@ -319,8 +319,8 @@ def cmd_prepare(config: RunConfig, args) -> int:
     if not config.data_path:
         raise DataError(
             f"no input CSV: pass --data, set it in the config file, or set ${DATA_DIR_ENV}")
-    records, stats = dataset.ingest_csv(config.data_path, config.securities_code)
-    ds = dataset.label(records)
+    candles, stats = dataset.ingest_csv(config.data_path, config.securities_code)
+    ds = dataset.label(*candles)
     ds = dataset.split_chronological(ds, config.train_frac, config.val_frac)
 
     _make_out_dir(config)

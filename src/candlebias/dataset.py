@@ -24,19 +24,6 @@ LABELED_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Volume", "Next", "Ta
 
 
 @dataclass(frozen=True)
-class CandleRecord:
-    """One trading day for one security."""
-
-    date: datetime.date
-    securities_code: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-
-@dataclass(frozen=True)
 class IngestStats:
     """Row accounting from one ingestion pass."""
 
@@ -67,8 +54,8 @@ class LabeledDataset:
     """Feature matrix, next-day close and binary direction targets.
 
     ``features`` columns follow :data:`FEATURE_COLUMNS`. ``targets[i]`` is 1
-    exactly when ``next_close[i] > features[i, 0]``. Arrays are read-only so
-    instances can be shared across threads.
+    exactly when ``next_close[i] > features[i, 0]``. Arrays are read-only, so a
+    dataset cannot change after it is built.
     """
 
     features: np.ndarray
@@ -79,7 +66,8 @@ class LabeledDataset:
 
     def __post_init__(self):
         n = len(self.targets)
-        if self.features.shape != (n, 5) or len(self.next_close) != n or len(self.dates) != n:
+        if (self.features.shape != (n, N_FEATURES) or len(self.next_close) != n
+                or len(self.dates) != n):
             raise ValueError("inconsistent LabeledDataset field lengths")
         if not np.array_equal(self.targets, (self.next_close > self.features[:, 0])):
             raise ValueError("targets inconsistent with next_close > close")
@@ -120,12 +108,7 @@ class Standardizer:
         return cls(mean=mean, stddev=stddev)
 
 
-def _parse_float(cell) -> float | None:
-    if cell is None:
-        return None
-    cell = cell.strip()
-    if not cell:
-        return None
+def _parse_float(cell: str) -> float | None:
     try:
         value = float(cell)
     except ValueError:
@@ -133,12 +116,17 @@ def _parse_float(cell) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def ingest_csv(path, code: int) -> tuple[list[CandleRecord], IngestStats]:
-    """Read a JPX-style OHLCV CSV and keep the rows of one security.
+def ingest_csv(path, code: int) -> tuple[tuple[list, list], IngestStats]:
+    """Read a JPX-style OHLCV CSV and keep the candles of one security.
 
-    Rows with a missing, unparseable or non-finite numeric field are dropped
-    and counted, as are rows whose prices violate low <= min(open, close) and
-    high >= max(open, close). Output is sorted by date ascending.
+    Returns ``((dates, prices), stats)``: ``dates[i]`` is a ``datetime.date``
+    and ``prices[i]`` that day's five prices in :data:`FEATURE_COLUMNS` order,
+    sorted stably by date ascending. Columns are found by header name; a
+    repeated name means its last column. Blank lines are skipped and not
+    counted, and the cells a short row lacks count as missing. Rows with a
+    missing, unparseable or non-finite field are dropped and counted, as are
+    rows with a negative price or volume or whose prices violate
+    low <= min(open, close) and high >= max(open, close).
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -146,81 +134,77 @@ def ingest_csv(path, code: int) -> tuple[list[CandleRecord], IngestStats]:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     with fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            records, counts = _ingest_rows(path, reader, code)
+            dates, prices, counts = _ingest_rows(path, reader, code)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
 
-    if not records:
+    if not dates:
         raise DataError(f"{path}: no usable rows for securities code {code}")
-    records.sort(key=lambda r: r.date)
-    return records, IngestStats(*counts)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    return ([dates[i] for i in order], [prices[i] for i in order]), IngestStats(*counts)
 
 
-def _ingest_rows(path, reader: csv.DictReader, code: int):
-    """Records of one security and the (total, matched, missing, malformed) counts."""
-    header = reader.fieldnames or []
-    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+def _ingest_rows(path, reader, code: int):
+    """Dates and prices of one security and the (total, matched, missing, malformed) counts."""
+    index = {name: i for i, name in enumerate(next(reader, []))}
+    missing = [c for c in REQUIRED_COLUMNS if c not in index]
     if missing:
         raise DataError(f"{path}: missing required columns {missing}")
+    code_at, date_at = index["SecuritiesCode"], index["Date"]
+    price_at = [index[c] for c in FEATURE_COLUMNS]
+    width = max(index[c] for c in REQUIRED_COLUMNS) + 1
 
-    records = []
+    dates, prices = [], []
     total = matched = dropped_missing = dropped_malformed = 0
     for row in reader:
+        if not row:
+            continue
         total += 1
-        code_cell = (row.get("SecuritiesCode") or "").strip()
+        if len(row) < width:
+            row += [""] * (width - len(row))
         try:
-            if int(code_cell) != code:
+            if int(row[code_at]) != code:
                 continue
         except ValueError:
             continue
         matched += 1
 
         try:
-            date = datetime.date.fromisoformat((row.get("Date") or "").strip())
+            date = datetime.date.fromisoformat(row[date_at].strip())
         except ValueError:
             dropped_missing += 1
             continue
-        values = [_parse_float(row.get(c)) for c in ("Open", "High", "Low", "Close", "Volume")]
-        if any(v is None for v in values):
+        values = [_parse_float(row[i]) for i in price_at]
+        if None in values:
             dropped_missing += 1
             continue
-        o, h, l, c, v = values
+        c, v, o, h, l = values
         if min(o, h, l, c) < 0.0 or v < 0.0 or l > min(o, c) or h < max(o, c):
             dropped_malformed += 1
             continue
-        records.append(CandleRecord(date, code, o, h, l, c, v))
-    return records, (total, matched, dropped_missing, dropped_malformed)
+        dates.append(date)
+        prices.append(values)
+    return dates, prices, (total, matched, dropped_missing, dropped_malformed)
 
 
-def write_records_csv(records, path) -> None:
-    """Write candle records in the canonical ingestable layout."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REQUIRED_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.date.isoformat(), r.securities_code, r.open, r.high, r.low, r.close, r.volume]
-            )
+def label(dates, prices) -> LabeledDataset:
+    """Build features, next-day close and up/down targets from date-ordered candles.
 
-
-def label(records) -> LabeledDataset:
-    """Build features, next-day close and up/down targets from ordered records.
-
-    The final record has no successor and is dropped, so the output has one
-    row fewer than the input. Ties (next close equal to close) label 0.
+    ``prices[i]`` holds day ``dates[i]``'s prices in :data:`FEATURE_COLUMNS`
+    order, as :func:`ingest_csv` returns them. The final day has no successor
+    and is dropped, so the output has one row fewer than the input. Ties (next
+    close equal to close) label 0.
     """
-    if len(records) < 2:
+    if len(dates) < 2:
         raise DataError("labeling needs at least 2 records")
-    dates = tuple(r.date for r in records[:-1])
+    dates = tuple(dates[:-1])
     for a, b in zip(dates, dates[1:]):
         if a >= b:
             raise DataError(f"dates not strictly increasing at {b}")
-    features = np.array(
-        [[r.close, r.volume, r.open, r.high, r.low] for r in records[:-1]], dtype=float
-    )
-    next_close = np.array([r.close for r in records[1:]], dtype=float)
+    prices = np.array(prices, dtype=float)
+    features, next_close = prices[:-1], prices[1:, 0]
     targets = (next_close > features[:, 0]).astype(np.int64)
     return LabeledDataset(features, next_close, targets, dates)
 

@@ -114,11 +114,6 @@ def predict_proba(model: LogisticModel, X: np.ndarray) -> np.ndarray:
     return sigmoid(model.theta[0] + X @ model.theta[1:])
 
 
-def predict(model: LogisticModel, X: np.ndarray) -> np.ndarray:
-    """Class labels at threshold 0.5; a probability of exactly 0.5 maps to 1."""
-    return (predict_proba(model, X) >= 0.5).astype(np.int64)
-
-
 def to_dict(model: LogisticModel) -> dict:
     return {
         "theta": model.theta.tolist(),

@@ -210,11 +210,6 @@ def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = Non
     return model, history
 
 
-def predict_network(model: NetworkModel, X: np.ndarray) -> np.ndarray:
-    """Class labels at threshold 0.5; a probability of exactly 0.5 maps to 1."""
-    return (forward(model, X) >= 0.5).astype(np.int64)
-
-
 def to_dict(model: NetworkModel, config: TrainConfig | None = None) -> dict:
     return {
         "layer_dims": list(model.layer_dims),

@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from candlebias import cli
+from candlebias.dataset import Standardizer
+
 FIXTURE_DIR = Path(__file__).parent / "data"
 
 RAW_HEADER = ["RowId", "Date", "SecuritiesCode", "Open", "High", "Low", "Close",
@@ -48,6 +51,15 @@ def synthetic_csv(tmp_path):
 @pytest.fixture
 def jpx_mini_csv():
     return FIXTURE_DIR / "jpx_mini.csv"
+
+
+def cli_labels(proba, model, X):
+    """Labels of unscaled X from the 0.5 threshold that evaluate and compare apply.
+
+    Gives the model an identity standardizer, so ``proba`` sees X itself.
+    """
+    model.standardizer = Standardizer(mean=np.zeros(X.shape[1]), stddev=np.ones(X.shape[1]))
+    return cli._score_proba(proba, model, X, np.zeros(len(X)))[0]
 
 
 def separable_classification(n, seed, noise=0.10):

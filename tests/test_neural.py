@@ -14,9 +14,10 @@ from candlebias.neural import (
     bce_loss,
     forward,
     init_network,
-    predict_network,
     train_network,
 )
+
+from conftest import cli_labels
 
 # 2-2-1 miniature with hand-set weights; output frozen from a 50-digit
 # evaluation of the same arithmetic: z1 = (-1, 1.25), relu -> (0, 1.25),
@@ -311,7 +312,7 @@ def test_train_learns_separable_data():
     config = TrainConfig(epochs=30, batch_size=32, validation_fraction=0.2, shuffle_seed=0)
     model, history = train_network(X, y, config, seed=0, layer_dims=(5, 16, 8, 1))
     assert history.train[-1] < history.train[0]
-    acc = float(np.mean(predict_network(model, X) == y))
+    acc = float(np.mean((forward(model, X) >= 0.5) == y))
     assert acc > 0.85
 
 
@@ -339,13 +340,13 @@ def test_train_divergence_raises():
 
 
 # ---------------------------------------------------------------------------
-# predict_network
+# class labels
 
 def test_predict_tie_maps_to_one():
     model = init_network(0, (5, 4, 1))
     for w in model.weights:
         w[:] = 0.0
-    preds = predict_network(model, np.random.default_rng(0).normal(size=(5, 5)))
+    preds = cli_labels(forward, model, np.random.default_rng(0).normal(size=(5, 5)))
     assert preds.tolist() == [1] * 5
 
 
@@ -353,7 +354,7 @@ def test_predict_monotone_in_probability():
     model = _mini_model()
     X = np.array([[1.0, 2.0], [-5.0, 10.0]])
     p = forward(model, X)
-    preds = predict_network(model, X)
+    preds = cli_labels(forward, model, X)
     assert np.array_equal(preds, (p >= 0.5).astype(int))
 
 
@@ -364,7 +365,7 @@ def test_all_positive_predictor_confusion_shape_and_identities():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(200, 5))
     y = rng.integers(0, 2, size=200)
-    preds = predict_network(model, X)
+    preds = (forward(model, X) >= 0.5).astype(np.int64)
     assert np.all(preds == 1)
     cm = metrics.confusion(y, preds)
     assert cm.fn == 0 and cm.tn == 0
