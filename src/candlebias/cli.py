@@ -154,12 +154,13 @@ def _make_out_dir(config: RunConfig) -> None:
         raise DataError(f"cannot write {config.out_dir}: {exc}") from exc
 
 
-def _load_split_dataset(config: RunConfig, args) -> dataset.LabeledDataset:
+def _load_split_dataset(config: RunConfig, args):
+    """The prepared dataset and its chronological split."""
     path = Path(args.dataset) if args.dataset else config.out_dir / "dataset.csv"
     if not path.exists():
         raise DataError(f"prepared dataset {path} not found; run `prepare` first")
     ds = dataset.read_labeled_csv(path)
-    return dataset.split_chronological(ds, config.train_frac, config.val_frac)
+    return ds, dataset.split_chronological(len(ds), config.train_frac, config.val_frac)
 
 
 # ---------------------------------------------------------------------------
@@ -169,51 +170,49 @@ def _load_split_dataset(config: RunConfig, args) -> dataset.LabeledDataset:
 # time, never at import, so wrapping a module attribute (as a tracer does)
 # reaches every call.
 
-def _standardize(ds: dataset.LabeledDataset, X: np.ndarray):
-    std = dataset.fit_standardizer(ds)
+def _standardize(X: np.ndarray):
+    std = dataset.fit_standardizer(X)
     return std, dataset.apply_standardizer(std, X)
 
 
-def _fit_lr(ds, X, y, params: dict, seed: int):
-    std, X_std = _standardize(ds, X)
+def _fit_lr(X, y, params: dict, seed: int):
+    std, X_std = _standardize(X)
     model = logistic.train(X_std, y, float(params["alpha"]), int(params["epochs"]))
-    model.standardizer = std
-    return logistic.to_dict(model), {"cost": model.cost_history.tolist()}
+    return ({**logistic.to_dict(model), "standardizer": std.as_dict()},
+            {"cost": model.cost_history.tolist()})
 
 
 def _tree_params(params: dict):
     return trees.TreeParams(**{k: int(v) for k, v in params.items() if k != "n_estimators"})
 
 
-def _fit_dt(ds, X, y, params: dict, seed: int):
+def _fit_dt(X, y, params: dict, seed: int):
     return trees.node_to_dict(trees.fit_tree(X, y, _tree_params(params))), None
 
 
-def _fit_rf(ds, X, y, params: dict, seed: int):
+def _fit_rf(X, y, params: dict, seed: int):
     forest = trees.fit_forest(X, y, int(params["n_estimators"]), _tree_params(params), seed)
     return trees.forest_to_dict(forest), None
 
 
-def _fit_fnn(ds, X, y, params: dict, seed: int):
-    std, X_std = _standardize(ds, X)
+def _fit_fnn(X, y, params: dict, seed: int):
+    std, X_std = _standardize(X)
     train_config = neural.TrainConfig(int(params["epochs"]), int(params["batch_size"]),
                                       float(params["validation_fraction"]), mix64(seed, 1))
     model, history = neural.train_network(X_std, y, train_config, seed=seed,
                                           layer_dims=tuple(params["layer_dims"]))
-    model.standardizer = std
-    return (neural.to_dict(model, train_config),
+    return ({**neural.to_dict(model, train_config), "standardizer": std.as_dict()},
             {"train_loss": history.train, "val_loss": history.validation})
 
 
-def _require_standardizer(model):
-    if model.standardizer is None:
-        raise ValueError("no standardizer")
-    return model
+def _with_standardizer(model, doc: dict):
+    """The model paired with the standardizer that ends its document."""
+    return model, dataset.Standardizer.from_dict(doc["standardizer"])
 
 
-def _score_proba(proba, model, X, y):
+def _score_proba(proba, model, std, X, y):
     """Standardize, take the probability, threshold it at 0.5 and report BCE loss."""
-    p = proba(model, dataset.apply_standardizer(model.standardizer, X))
+    p = proba(model, dataset.apply_standardizer(std, X))
     return (p >= 0.5).astype(np.int64), logistic.bce_loss(p, y.astype(float))
 
 
@@ -221,16 +220,16 @@ def _score_proba(proba, model, X, y):
 class ModelSpec:
     label: str            # row name in reports
     markers: tuple        # JSON keys found only in this model's documents
-    fit: Callable         # (ds, X, y, config section, seed) -> (document, history columns)
-    load: Callable        # document -> model
-    score: Callable       # (model, X, y) -> (predicted labels, loss or None)
+    fit: Callable         # (X, y, config section, seed) -> (document, history columns)
+    load: Callable        # document -> model, paired with its standardizer for LR and FNN
+    score: Callable       # (loaded model, X, y) -> (predicted labels, loss or None)
     history_file: str | None = None
 
 
 MODELS = {
     "lr": ModelSpec("LR", ("theta",), _fit_lr,
-                    lambda doc: _require_standardizer(logistic.from_dict(doc)),
-                    lambda m, X, y: _score_proba(logistic.predict_proba, m, X, y),
+                    lambda doc: _with_standardizer(logistic.from_dict(doc), doc),
+                    lambda m, X, y: _score_proba(logistic.predict_proba, *m, X, y),
                     "lr_cost_history.csv"),
     "dt": ModelSpec("DT", ("p_up", "feature"), _fit_dt,
                     lambda doc: trees.node_from_dict(doc),
@@ -239,20 +238,22 @@ MODELS = {
                     lambda doc: trees.forest_from_dict(doc),
                     lambda m, X, y: (trees.predict_forest(m, X), None)),
     "fnn": ModelSpec("FNN", ("layer_dims",), _fit_fnn,
-                     lambda doc: _require_standardizer(neural.from_dict(doc)[0]),
-                     lambda m, X, y: _score_proba(neural.forward, m, X, y),
+                     lambda doc: _with_standardizer(neural.from_dict(doc)[0], doc),
+                     lambda m, X, y: _score_proba(neural.forward, *m, X, y),
                      "fnn_loss_history.csv"),
 }
 MODEL_NAMES = tuple(MODELS)
 
 
-def _train_and_save(name: str, ds: dataset.LabeledDataset, config: RunConfig) -> list[Path]:
+def _train_and_save(name: str, ds: dataset.LabeledDataset, split: dataset.SplitRanges,
+                    config: RunConfig) -> list[Path]:
     """Fit one model on the train range; write its model file and history CSV."""
     spec = MODELS[name]
-    X, y = ds.rows(ds.split.train), ds.labels(ds.split.train)
+    X, y = ds.rows(split.train), ds.labels(split.train)
     try:
-        doc, history = spec.fit(ds, X, y, config.models[name], config.model_seed(name))
-    except (ValueError, RecursionError) as exc:  # RecursionError: a tree too deep to grow
+        with np.errstate(all="ignore"):  # a diverging fit shows as a non-finite cost
+            doc, history = spec.fit(X, y, config.models[name], config.model_seed(name))
+    except (ValueError, TrainingDivergedError, RecursionError) as exc:  # a tree too deep
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
 
     _make_out_dir(config)
@@ -297,9 +298,7 @@ def _load_model(path: Path):
         raise DataError(f"model file {path}: {exc}") from exc
 
 
-def _evaluate(name: str, model, ds: dataset.LabeledDataset,
-              split_name: str) -> metrics.EvalReport:
-    rng = getattr(ds.split, split_name)
+def _evaluate(name: str, model, ds: dataset.LabeledDataset, rng: range) -> metrics.EvalReport:
     y = ds.labels(rng)
     y_pred, loss = MODELS[name].score(model, ds.rows(rng), y)
     return metrics.evaluate(MODELS[name].label, y, y_pred, loss=loss)
@@ -321,7 +320,7 @@ def cmd_prepare(config: RunConfig, args) -> int:
             f"no input CSV: pass --data, set it in the config file, or set ${DATA_DIR_ENV}")
     candles, stats = dataset.ingest_csv(config.data_path, config.securities_code)
     ds = dataset.label(*candles)
-    ds = dataset.split_chronological(ds, config.train_frac, config.val_frac)
+    split = dataset.split_chronological(len(ds), config.train_frac, config.val_frac)
 
     _make_out_dir(config)
     csv_path = config.out_dir / "dataset.csv"
@@ -337,7 +336,7 @@ def cmd_prepare(config: RunConfig, args) -> int:
         "labeled_rows": len(ds),
         "class_balance": {"up": n_up, "down": len(ds) - n_up,
                           "prevalence": n_up / len(ds)},
-        "split": ds.split.as_dict(),
+        "split": split.as_dict(),
     }
     summary_path = config.out_dir / "dataset_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
@@ -346,18 +345,18 @@ def cmd_prepare(config: RunConfig, args) -> int:
 
 
 def cmd_train(config: RunConfig, args) -> int:
-    ds = _load_split_dataset(config, args)
-    written = _train_and_save(args.model, ds, config)
+    ds, split = _load_split_dataset(config, args)
+    written = _train_and_save(args.model, ds, split, config)
     print(f"trained {args.model}: " + ", ".join(str(p) for p in written))
     return EXIT_OK
 
 
 def cmd_evaluate(config: RunConfig, args) -> int:
-    ds = _load_split_dataset(config, args)
+    ds, split = _load_split_dataset(config, args)
     model_path = Path(args.model_file) if args.model_file \
         else config.out_dir / f"model_{args.model}.json"
     name, model = _load_model(model_path)
-    report = _evaluate(name, model, ds, args.eval_split)
+    report = _evaluate(name, model, ds, getattr(split, args.eval_split))
 
     text = metrics.render([report], config.report_format,
                           metadata={"split": args.eval_split})
@@ -368,14 +367,14 @@ def cmd_evaluate(config: RunConfig, args) -> int:
 
 
 def cmd_compare(config: RunConfig, args) -> int:
-    ds = _load_split_dataset(config, args)
+    ds, split = _load_split_dataset(config, args)
     eval_split = {name: "test" if (args.eval_all_test or name == "fnn") else "validation"
                   for name in MODEL_NAMES}
 
     reports = []
     for name in MODEL_NAMES:
-        model_path = _train_and_save(name, ds, config)[0]
-        reports.append(_evaluate(*_load_model(model_path), ds, eval_split[name]))
+        model_path = _train_and_save(name, ds, split, config)[0]
+        reports.append(_evaluate(*_load_model(model_path), ds, getattr(split, eval_split[name])))
 
     metadata = {
         "securities_code": config.securities_code,

@@ -8,7 +8,6 @@ Dates are kept only for ordering and split bookkeeping, never as a feature.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime
 import math
 from dataclasses import dataclass
@@ -21,6 +20,9 @@ FEATURE_COLUMNS = ("Close", "Volume", "Open", "High", "Low")
 N_FEATURES = len(FEATURE_COLUMNS)
 REQUIRED_COLUMNS = ("Date", "SecuritiesCode", "Open", "High", "Low", "Close", "Volume")
 LABELED_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Volume", "Next", "Target")
+# Rows per write_labeled_csv block: whole columns of Python floats for a 12k-row
+# history stayed resident after the write and raised the peak RSS of what followed.
+_WRITE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class LabeledDataset:
     next_close: np.ndarray
     targets: np.ndarray
     dates: tuple
-    split: SplitRanges | None = None
 
     def __post_init__(self):
         n = len(self.targets)
@@ -100,6 +101,8 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
+        if not isinstance(d, dict):
+            raise ValueError(f"standardizer must be an object, got {d!r}")
         mean = np.asarray(d["mean"], dtype=float)
         stddev = np.asarray(d["stddev"], dtype=float)
         if mean.shape != (N_FEATURES,) or stddev.shape != (N_FEATURES,):
@@ -199,21 +202,19 @@ def label(dates, prices) -> LabeledDataset:
     """
     if len(dates) < 2:
         raise DataError("labeling needs at least 2 records")
-    dates = tuple(dates[:-1])
     for a, b in zip(dates, dates[1:]):
         if a >= b:
             raise DataError(f"dates not strictly increasing at {b}")
     prices = np.array(prices, dtype=float)
     features, next_close = prices[:-1], prices[1:, 0]
     targets = (next_close > features[:, 0]).astype(np.int64)
-    return LabeledDataset(features, next_close, targets, dates)
+    return LabeledDataset(features, next_close, targets, tuple(dates[:-1]))
 
 
-def split_chronological(ds: LabeledDataset, train_frac: float, val_frac: float) -> LabeledDataset:
-    """Partition rows into contiguous train/validation/test ranges, no shuffle."""
+def split_chronological(n: int, train_frac: float, val_frac: float) -> SplitRanges:
+    """Partition n rows into contiguous train/validation/test ranges, no shuffle."""
     if not (0.0 < train_frac and 0.0 < val_frac and train_frac + val_frac < 1.0):
         raise DataError("split fractions must be positive and sum to less than 1")
-    n = len(ds)
     n_train = int(n * train_frac)
     n_val = int(n * val_frac)
     ranges = SplitRanges(
@@ -223,14 +224,11 @@ def split_chronological(ds: LabeledDataset, train_frac: float, val_frac: float) 
     )
     if any(len(r) == 0 for r in (ranges.train, ranges.validation, ranges.test)):
         raise DataError(f"split {train_frac}/{val_frac} leaves an empty range for {n} rows")
-    return dataclasses.replace(ds, split=ranges)
+    return ranges
 
 
-def fit_standardizer(ds: LabeledDataset) -> Standardizer:
-    """Per-column mean and population stddev computed from the train range only."""
-    if ds.split is None or len(ds.split.train) == 0:
-        raise DataError("dataset has no train range to fit a standardizer on")
-    train = ds.rows(ds.split.train)
+def fit_standardizer(train: np.ndarray) -> Standardizer:
+    """Per-column mean and population stddev of the train rows."""
     mean = train.mean(axis=0)
     stddev = train.std(axis=0)
     if np.any(stddev <= 0.0):
@@ -251,18 +249,19 @@ def write_labeled_csv(ds: LabeledDataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABELED_COLUMNS)
-        for i, date in enumerate(ds.dates):
-            close, volume, open_, high, low = ds.features[i]
-            writer.writerow(
-                [date.isoformat(), open_, high, low, close, volume,
-                 ds.next_close[i], int(ds.targets[i])]
-            )
+        for start in range(0, len(ds), _WRITE_BLOCK):
+            rows = slice(start, start + _WRITE_BLOCK)
+            close, volume, open_, high, low = ds.features[rows].T.tolist()
+            writer.writerows(zip([date.isoformat() for date in ds.dates[rows]], open_, high,
+                                 low, close, volume, ds.next_close[rows].tolist(),
+                                 ds.targets[rows].tolist()))
 
 
 def read_labeled_csv(path) -> LabeledDataset:
     """Read a labeled CSV written by :func:`write_labeled_csv`.
 
-    A row that does not parse raises DataError naming the file and line.
+    A row that does not parse, or whose date does not come after the date
+    before it, raises DataError naming the file and line.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -284,7 +283,10 @@ def read_labeled_csv(path) -> LabeledDataset:
                           float(next_close)]
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"non-finite value in {fields[1:7]}")
-                dates.append(datetime.date.fromisoformat(date))
+                date = datetime.date.fromisoformat(date)
+                if dates and date <= dates[-1]:
+                    raise ValueError(f"date {date} does not come after {dates[-1]}")
+                dates.append(date)
                 rows.append(values[:5])
                 nexts.append(values[5])
                 targets.append(int(target))

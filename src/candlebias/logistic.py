@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_FEATURES, Standardizer
+from .dataset import N_FEATURES
 from .errors import TrainingDivergedError
 
 DEFAULT_ALPHA = 0.01
@@ -31,7 +31,6 @@ class LogisticModel:
     cost_history: np.ndarray
     alpha: float
     epochs: int
-    standardizer: Standardizer | None = None
 
 
 def sigmoid(z):
@@ -120,12 +119,10 @@ def to_dict(model: LogisticModel) -> dict:
         "alpha": model.alpha,
         "epochs": model.epochs,
         "cost_history": model.cost_history.tolist(),
-        "standardizer": model.standardizer.as_dict() if model.standardizer else None,
     }
 
 
 def from_dict(d: dict) -> LogisticModel:
-    std = d.get("standardizer")
     theta = np.asarray(d["theta"], dtype=float)
     if theta.shape != (N_FEATURES + 1,):
         raise ValueError(f"theta needs {N_FEATURES + 1} entries (bias first), "
@@ -135,5 +132,4 @@ def from_dict(d: dict) -> LogisticModel:
         cost_history=np.asarray(d["cost_history"], dtype=float),
         alpha=float(d["alpha"]),
         epochs=int(d["epochs"]),
-        standardizer=Standardizer.from_dict(std) if std else None,
     )

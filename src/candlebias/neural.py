@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import N_FEATURES, Standardizer
+from .dataset import N_FEATURES
 from .errors import TrainingDivergedError
 from .logistic import bce_loss, sigmoid
 
@@ -28,7 +28,6 @@ class NetworkModel:
     weights: list
     biases: list
     seed: int
-    standardizer: Standardizer | None = None
 
 
 @dataclass
@@ -217,12 +216,10 @@ def to_dict(model: NetworkModel, config: TrainConfig | None = None) -> dict:
         "biases": [b.tolist() for b in model.biases],
         "seed": model.seed,
         "config": config.as_dict() if config else None,
-        "standardizer": model.standardizer.as_dict() if model.standardizer else None,
     }
 
 
 def from_dict(d: dict):
-    std = d.get("standardizer")
     dims = tuple(d["layer_dims"])
     weights = [np.asarray(w, dtype=float) for w in d["weights"]]
     biases = [np.asarray(b, dtype=float) for b in d["biases"]]
@@ -237,7 +234,6 @@ def from_dict(d: dict):
         weights=weights,
         biases=biases,
         seed=int(d["seed"]),
-        standardizer=Standardizer.from_dict(std) if std else None,
     )
     config = TrainConfig.from_dict(d["config"]) if d.get("config") else None
     return model, config

@@ -77,7 +77,6 @@ class ForestModel:
     params: TreeParams
     n_estimators: int
     seed: int
-    bootstrap_indices: list | None = None
     oob_error: float | None = None
 
 
@@ -221,6 +220,12 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     (seed, t): the first k trees of a larger forest equal a k-tree forest.
     ``bootstrap_fn(n, seed)`` is injectable for tests (e.g. an identity
     bootstrap).
+
+    The OOB error is the misclassification rate of rows under the trees whose
+    bootstrap excludes them: each row is scored by the mean of those trees'
+    leaf probabilities, summed in tree order (ties classify as 1), and rows
+    in every bootstrap are left out of the denominator. It is None, with a
+    warning, when no row is out of bag.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -228,50 +233,30 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     params.validate(X.shape[1])
     if n_estimators < 1:
         raise ValueError("n_estimators must be positive")
-    if len(y) < 2:
-        raise ValueError("forest training needs at least 2 rows")
-    forest = ForestModel(trees=[], params=params, n_estimators=n_estimators, seed=seed,
-                         bootstrap_indices=[])
-    for t in range(n_estimators):
-        tree_seed = mix64(seed, t)
-        idx = np.asarray(bootstrap_fn(len(y), tree_seed))
-        sampler = np.random.default_rng(mix64(tree_seed, _FEATURE_STREAM))
-        forest.trees.append(fit_tree(X[idx], y[idx], params, feature_sampler=sampler))
-        forest.bootstrap_indices.append(idx)
-    forest.oob_error = oob_error(forest, X, y)
-    return forest
-
-
-def oob_error(forest: ForestModel, X: np.ndarray, y: np.ndarray) -> float | None:
-    """Misclassification rate of samples under the trees that never saw them.
-
-    Each sample is scored by the mean leaf probability over trees whose
-    bootstrap excludes it (ties classify as 1); samples in every bootstrap
-    are left out of the denominator. Returns None with a warning when no
-    sample has an out-of-bag tree.
-    """
-    if forest.bootstrap_indices is None:
-        raise ValueError("forest has no recorded bootstrap indices")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
     n = len(y)
-
+    if n < 2:
+        raise ValueError("forest training needs at least 2 rows")
+    forest = ForestModel(trees=[], params=params, n_estimators=n_estimators, seed=seed)
     prob_sum = np.zeros(n)
     tree_count = np.zeros(n, dtype=np.int64)
-    for tree, idx in zip(forest.trees, forest.bootstrap_indices):
-        oob_mask = np.ones(n, dtype=bool)
-        oob_mask[np.asarray(idx)] = False
-        if not oob_mask.any():
-            continue
-        prob_sum[oob_mask] += tree_predict_proba(tree, X[oob_mask])
-        tree_count[oob_mask] += 1
+    for t in range(n_estimators):
+        tree_seed = mix64(seed, t)
+        idx = np.asarray(bootstrap_fn(n, tree_seed))
+        sampler = np.random.default_rng(mix64(tree_seed, _FEATURE_STREAM))
+        tree = fit_tree(X[idx], y[idx], params, feature_sampler=sampler)
+        forest.trees.append(tree)
+        oob = np.ones(n, dtype=bool)
+        oob[idx] = False
+        prob_sum[oob] += tree_predict_proba(tree, X[oob])
+        tree_count[oob] += 1
 
     covered = tree_count > 0
-    if not covered.any():
+    if covered.any():
+        pred = (prob_sum[covered] / tree_count[covered] >= 0.5).astype(np.int64)
+        forest.oob_error = float(np.mean(pred != y[covered]))
+    else:
         warnings.warn("OOB error undefined: every sample appears in every bootstrap")
-        return None
-    pred = (prob_sum[covered] / tree_count[covered] >= 0.5).astype(np.int64)
-    return float(np.mean(pred != y[covered]))
+    return forest
 
 
 def predict_forest(forest: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -335,6 +320,5 @@ def forest_from_dict(d: dict) -> ForestModel:
         params=TreeParams.from_dict(d["params"]),
         n_estimators=int(d["n_estimators"]),
         seed=int(d["seed"]),
-        bootstrap_indices=None,
         oob_error=None if d["oob_error"] is None else float(d["oob_error"]),
     )

@@ -56,10 +56,10 @@ def jpx_mini_csv():
 def cli_labels(proba, model, X):
     """Labels of unscaled X from the 0.5 threshold that evaluate and compare apply.
 
-    Gives the model an identity standardizer, so ``proba`` sees X itself.
+    Scores through an identity standardizer, so ``proba`` sees X itself.
     """
-    model.standardizer = Standardizer(mean=np.zeros(X.shape[1]), stddev=np.ones(X.shape[1]))
-    return cli._score_proba(proba, model, X, np.zeros(len(X)))[0]
+    identity = Standardizer(mean=np.zeros(X.shape[1]), stddev=np.ones(X.shape[1]))
+    return cli._score_proba(proba, model, identity, X, np.zeros(len(X)))[0]
 
 
 def separable_classification(n, seed, noise=0.10):

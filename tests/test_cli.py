@@ -4,6 +4,10 @@ import datetime
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
@@ -147,6 +151,7 @@ def test_train_lr_writes_full_cost_history(trained):
     assert len(doc["theta"]) == 6
     assert len(doc["cost_history"]) == 1000
     assert doc["alpha"] == 0.01
+    assert list(doc)[-1] == "standardizer"
     assert set(doc["standardizer"]) == {"mean", "stddev"}
     lines = (trained.out / "lr_cost_history.csv").read_text().strip().splitlines()
     assert len(lines) == 1001
@@ -165,6 +170,8 @@ def test_train_fnn_defaults(trained):
     doc = json.loads((trained.out / "model_fnn.json").read_text())
     assert doc["layer_dims"] == [5, 128, 64, 1]
     assert doc["config"]["epochs"] == 10 and doc["config"]["batch_size"] == 32
+    assert list(doc)[-1] == "standardizer"
+    assert set(doc["standardizer"]) == {"mean", "stddev"}
     lines = (trained.out / "fnn_loss_history.csv").read_text().strip().splitlines()
     assert len(lines) == 11  # header + 10 epochs
 
@@ -200,6 +207,26 @@ def test_train_fnn_out_of_range_hyperparameter_names_it(key, value, workspace, t
     assert rc == cli.EXIT_TRAINING
     assert err.startswith("training error: ") and err.count("\n") == 1
     assert f"{key}={value}" in err
+
+
+def test_train_diverging_fit_prints_one_line(tmp_path):
+    # On this walk the cost turns NaN at epoch 384. A subprocess, because
+    # pytest would capture numpy's RuntimeWarnings in-process.
+    raw = write_raw_csv(tmp_path / "raw.csv", synthetic_candles(200, seed=7))
+    assert cli.main(["prepare", "--data", str(raw), "--out", str(tmp_path)]) == 0
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"lr": {"alpha": 1e308}}))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "candlebias.cli", "train", "--model", "lr",
+         "--config", str(config), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == cli.EXIT_TRAINING
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("training error: cannot train lr: non-finite cost")
 
 
 def test_train_tree_too_deep_to_recurse_exits_training(tmp_path, capsys):
@@ -408,6 +435,12 @@ def _dataset_with_line(workspace, index, edit):
     return "\n".join(lines) + "\n"
 
 
+def _dataset_with_lines_swapped(workspace, i, j):
+    lines = workspace.dataset.read_text().splitlines()
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
 _LR_THETA = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 _LEAF = {"p_up": 1.0, "n": 2}
 _TREE_PARAMS = {"max_depth": 2, "min_samples_split": 2, "max_features": 5}
@@ -451,6 +484,11 @@ BAD_INPUT_FILES = {
     "rf_model_without_trees": ("model", lambda ws: _rf_model([])),
     "lr_model_short_theta": ("model", lambda ws: _lr_model([1.0, 0.0], 5)),
     "lr_model_narrow_standardizer": ("model", lambda ws: _lr_model(_LR_THETA, 2)),
+    "lr_model_null_standardizer": ("model", lambda ws: json.dumps(
+        {**json.loads(_lr_model(_LR_THETA, 5)), "standardizer": None})),
+    "fnn_model_without_standardizer": ("model", lambda ws: json.dumps(
+        {key: value for key, value in json.loads(_fnn_model([5, 1], [(1, 5)])).items()
+         if key != "standardizer"})),
     "fnn_model_weights_cut_short": ("model", lambda ws: _fnn_model([5, 3, 1], [(3, 5)])),
     "fnn_model_dims_disagree_with_weights": ("model", lambda ws: _fnn_model(
         [5, 4, 1], [(3, 5), (1, 3)])),
@@ -470,6 +508,9 @@ BAD_INPUT_FILES = {
         ws, 5, lambda f: ",".join(f[:1] + ["nan"] + f[2:]))),
     "dataset_inf_next": ("dataset", lambda ws: _dataset_with_line(
         ws, 5, lambda f: ",".join(f[:6] + ["inf"] + f[7:]))),
+    "dataset_dates_out_of_order": ("dataset", lambda ws: _dataset_with_lines_swapped(ws, 5, 6)),
+    "dataset_date_repeated": ("dataset", lambda ws: _dataset_with_line(
+        ws, 6, lambda f: ws.dataset.read_text().splitlines()[5])),
 }
 
 
@@ -490,6 +531,8 @@ def test_bad_input_files_exit_data_with_one_line(case, workspace, tmp_path, caps
     assert rc == cli.EXIT_DATA
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert str(bad) in err
+    if "standardizer" in case:
+        assert "standardizer" in err
 
 
 def test_out_dir_that_cannot_be_created_exits_data(workspace, tmp_path, capsys):

@@ -1,14 +1,18 @@
+import csv
 import dataclasses
 import datetime
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from candlebias import cli
 from candlebias.dataset import (
+    LABELED_COLUMNS,
     IngestStats,
     LabeledDataset,
+    Standardizer,
     apply_standardizer,
     fit_standardizer,
     ingest_csv,
@@ -203,6 +207,20 @@ def test_label_requires_two_records():
         label(*_candles([100.0]))
 
 
+def test_label_rejects_a_repeated_last_date(tmp_path):
+    # The last day has no successor and is dropped, but its date still counts:
+    # otherwise 2017-01-20 would be labeled against its own second close.
+    path = _write(tmp_path, [
+        "2017-01-18,6758,900,950,890,930,1000",
+        "2017-01-19,6758,930,960,920,940,1100",
+        "2017-01-20,6758,940,960,920,933.06,1200",
+        "2017-01-20,6758,940,1200,920,1119.68,1300",
+    ])
+    candles, _ = ingest_csv(path, 6758)
+    with pytest.raises(DataError, match="not strictly increasing at 2017-01-20"):
+        label(*candles)
+
+
 def test_label_drops_exactly_one_row():
     for n in (2, 7, 50):
         assert len(label(*_candles(list(100.0 + np.arange(n))))) == n - 1
@@ -239,27 +257,25 @@ def _dataset(n, seed=0):
 
 
 def test_split_sizes():
-    ds = split_chronological(_dataset(100), 0.7, 0.15)
-    s = ds.split
+    s = split_chronological(100, 0.7, 0.15)
     assert (len(s.train), len(s.validation), len(s.test)) == (70, 15, 15)
 
 
 def test_split_empty_range_errors():
     with pytest.raises(DataError):
-        split_chronological(_dataset(10), 0.9, 0.09)
+        split_chronological(10, 0.9, 0.09)
 
 
 def test_split_invalid_fractions_error():
-    ds = _dataset(50)
     for fracs in ((0.0, 0.5), (0.5, 0.0), (0.8, 0.3)):
         with pytest.raises(DataError):
-            split_chronological(ds, *fracs)
+            split_chronological(50, *fracs)
 
 
 def test_split_is_ordered_contiguous_partition():
     for n, tf, vf in ((100, 0.7, 0.15), (37, 0.5, 0.25), (211, 0.6, 0.2)):
-        ds = split_chronological(_dataset(n), tf, vf)
-        s = ds.split
+        ds = _dataset(n)
+        s = split_chronological(len(ds), tf, vf)
         assert s.train.start == 0 and s.train.stop == s.validation.start
         assert s.validation.stop == s.test.start and s.test.stop == len(ds)
         assert max(ds.dates[i] for i in s.train) < min(ds.dates[i] for i in s.validation)
@@ -268,6 +284,10 @@ def test_split_is_ordered_contiguous_partition():
 
 # ---------------------------------------------------------------------------
 # standardizer
+
+def _train_rows(ds, train_frac, val_frac):
+    return ds.rows(split_chronological(len(ds), train_frac, val_frac).train)
+
 
 def test_standardizer_uses_population_stddev():
     # population stddev of the two-point column [1, 3] is exactly 1
@@ -279,8 +299,7 @@ def test_standardizer_uses_population_stddev():
     targets = (next_close > features[:, 0]).astype(np.int64)
     dates = tuple(datetime.date(2020, 1, 1) + datetime.timedelta(days=i) for i in range(4))
     ds = LabeledDataset(features, next_close, targets, dates)
-    ds = split_chronological(ds, 0.5, 0.25)  # train = first 2 rows
-    std = fit_standardizer(ds)
+    std = fit_standardizer(_train_rows(ds, 0.5, 0.25))  # train = first 2 rows
     assert std.mean[0] == 2.0 and std.stddev[0] == 1.0
     assert np.array_equal(std.mean, features[:2].mean(axis=0))
     assert np.array_equal(std.stddev, features[:2].std(axis=0))
@@ -291,52 +310,62 @@ def test_standardizer_constant_column_errors():
     features = ds.features.copy()
     features[:, 1] = 7.0  # constant volume
     ds = LabeledDataset(features, ds.next_close.copy(), ds.targets.copy(), ds.dates)
-    ds = split_chronological(ds, 0.5, 0.25)
     with pytest.raises(DataError, match="Volume"):
-        fit_standardizer(ds)
+        fit_standardizer(_train_rows(ds, 0.5, 0.25))
 
 
-def test_standardizer_depends_only_on_train_rows():
-    ds = split_chronological(_dataset(60), 0.5, 0.25)
-    std = fit_standardizer(ds)
-    # perturb non-close feature columns outside the train range and refit
-    features = ds.features.copy()
-    features[ds.split.validation.start:, 1:] *= 3.7
-    mutated = LabeledDataset(features, ds.next_close.copy(), ds.targets.copy(),
-                             ds.dates, split=ds.split)
-    std2 = fit_standardizer(mutated)
-    assert np.array_equal(std.mean, std2.mean)
-    assert np.array_equal(std.stddev, std2.stddev)
+def test_standardizer_depends_only_on_train_rows(tmp_path):
+    # Scaling non-close columns outside the train range leaves model_lr.json,
+    # standardizer included, byte for byte the same.
+    ds = _dataset(60)
+    mutated = ds.features.copy()
+    mutated[split_chronological(len(ds), 0.7, 0.15).validation.start:, 1:] *= 3.7
+    models = []
+    for name, features in (("same", ds.features), ("mutated", mutated)):
+        path = tmp_path / f"{name}.csv"
+        write_labeled_csv(LabeledDataset(features, ds.next_close.copy(), ds.targets.copy(),
+                                         ds.dates), path)
+        assert cli.main(["train", "--model", "lr", "--dataset", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+        models.append((tmp_path / name / "model_lr.json").read_bytes())
+    assert models[0] == models[1]
+    assert (tmp_path / "same.csv").read_bytes() != (tmp_path / "mutated.csv").read_bytes()
 
 
 def test_apply_standardizer_centers_train_rows():
-    ds = split_chronological(_dataset(80), 0.7, 0.15)
-    std = fit_standardizer(ds)
-    scaled = apply_standardizer(std, ds.rows(ds.split.train))
+    train = _train_rows(_dataset(80), 0.7, 0.15)
+    scaled = apply_standardizer(fit_standardizer(train), train)
     assert np.all(np.abs(scaled.mean(axis=0)) < 1e-9)
     assert np.allclose(scaled.std(axis=0), 1.0)
 
 
 def test_apply_standardizer_identity():
-    from candlebias.dataset import Standardizer
     std = Standardizer(mean=np.zeros(5), stddev=np.ones(5))
     X = np.random.default_rng(5).normal(size=(10, 5))
     assert np.array_equal(apply_standardizer(std, X), X)
 
 
 def test_apply_standardizer_round_trip():
-    ds = split_chronological(_dataset(80), 0.7, 0.15)
-    std = fit_standardizer(ds)
+    ds = _dataset(80)
+    std = fit_standardizer(_train_rows(ds, 0.7, 0.15))
     X = ds.features
     back = apply_standardizer(std, X) * std.stddev + std.mean
     assert np.all(np.abs(back - X) < 1e-9 * np.maximum(1.0, np.abs(X)))
 
 
 def test_apply_standardizer_shape_mismatch():
-    ds = split_chronological(_dataset(40), 0.5, 0.25)
-    std = fit_standardizer(ds)
+    std = fit_standardizer(_train_rows(_dataset(40), 0.5, 0.25))
     with pytest.raises(ValueError):
         apply_standardizer(std, np.ones((3, 4)))
+
+
+def test_standardizer_dict_round_trip():
+    std = Standardizer(mean=np.arange(5.0), stddev=np.ones(5) * 2.0)
+    back = Standardizer.from_dict(json.loads(json.dumps(std.as_dict())))
+    assert np.array_equal(back.mean, std.mean) and np.array_equal(back.stddev, std.stddev)
+    for bad in (None, [0.0] * 5, "mean"):
+        with pytest.raises(ValueError, match="standardizer must be an object"):
+            Standardizer.from_dict(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +380,22 @@ def test_labeled_csv_round_trip(tmp_path):
     assert np.array_equal(back.next_close, ds.next_close)
     assert np.array_equal(back.targets, ds.targets)
     assert back.dates == ds.dates
+
+
+def test_write_labeled_csv_matches_a_row_by_row_writer(tmp_path):
+    # Longer than two write blocks, so every block boundary is crossed.
+    ds = _dataset(2 * 1024 + 5)
+    path = tmp_path / "labeled.csv"
+    write_labeled_csv(ds, path)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABELED_COLUMNS)
+        for i, date in enumerate(ds.dates):
+            close, volume, open_, high, low = ds.features[i]
+            writer.writerow([date.isoformat(), open_, high, low, close, volume,
+                             ds.next_close[i], int(ds.targets[i])])
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_read_labeled_csv_rejects_corrupt_target(tmp_path):

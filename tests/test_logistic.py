@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from candlebias import logistic
-from candlebias.dataset import Standardizer
 from candlebias.errors import TrainingDivergedError
 
 from conftest import cli_labels
@@ -253,11 +252,9 @@ def test_model_json_round_trip():
     X = rng.normal(size=(20, 5))
     y = rng.integers(0, 2, size=20)
     model = logistic.train(X, y, epochs=25)
-    model.standardizer = Standardizer(mean=np.arange(5.0), stddev=np.ones(5) * 2.0)
     doc = logistic.to_dict(model)
-    assert set(doc) == {"theta", "alpha", "epochs", "cost_history", "standardizer"}
+    assert list(doc) == ["theta", "alpha", "epochs", "cost_history"]
     back = logistic.from_dict(doc)
     assert np.array_equal(back.theta, model.theta)
     assert np.array_equal(back.cost_history, model.cost_history)
     assert back.alpha == model.alpha and back.epochs == model.epochs
-    assert np.array_equal(back.standardizer.mean, model.standardizer.mean)

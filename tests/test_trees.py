@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from candlebias import trees
+from candlebias.seeding import mix64
 from candlebias.trees import (
     ForestModel,
     TreeParams,
@@ -16,7 +17,6 @@ from candlebias.trees import (
     impurity,
     node_from_dict,
     node_to_dict,
-    oob_error,
     predict_forest,
     predict_tree,
     tree_predict,
@@ -260,6 +260,11 @@ def test_bootstrap_deterministic_per_seed():
     assert not np.array_equal(a, bootstrap_sample(100, seed=78))
 
 
+def _bootstraps(n, seed, n_estimators):
+    """The bootstrap rows of each tree of a forest fitted with ``seed``."""
+    return [bootstrap_sample(n, mix64(seed, t)) for t in range(n_estimators)]
+
+
 def test_bootstrap_distinct_fraction_near_632():
     idx = bootstrap_sample(10_000, seed=13)
     assert idx.shape == (10_000,)
@@ -293,15 +298,15 @@ def test_forest_deterministic_for_seed():
     a = fit_forest(X, y, n_estimators=12, params=params, seed=99)
     b = fit_forest(X, y, n_estimators=12, params=params, seed=99)
     assert json.dumps(forest_to_dict(a)) == json.dumps(forest_to_dict(b))
-    assert all(np.array_equal(i, j)
-               for i, j in zip(a.bootstrap_indices, b.bootstrap_indices))
+    # tree t grows on bootstrap_sample(n, mix64(seed, t)) with its own feature sampler
+    for t, idx in enumerate(_bootstraps(120, 99, 12)):
+        sampler = np.random.default_rng(mix64(mix64(99, t), 1))
+        tree = fit_tree(X[idx], y[idx], params, feature_sampler=sampler)
+        assert json.dumps(node_to_dict(tree)) == json.dumps(node_to_dict(a.trees[t]))
 
 
 def test_forest_bootstrap_multisets_have_cardinality_n():
-    X, y = separable_classification(80, seed=3)
-    forest = fit_forest(X, y, n_estimators=5,
-                        params=TreeParams(10, 5, 3), seed=11)
-    assert all(len(idx) == 80 for idx in forest.bootstrap_indices)
+    assert all(len(idx) == 80 for idx in _bootstraps(80, seed=11, n_estimators=5))
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +332,36 @@ def test_oob_single_tree_misclassifying_whole_oob_set():
 
 
 def test_oob_set_is_complement_of_bootstrap_support():
-    X, y = separable_classification(60, seed=5)
-    forest = fit_forest(X, y, n_estimators=4, params=TreeParams(8, 4, 3), seed=21)
-    for idx in forest.bootstrap_indices:
+    for idx in _bootstraps(60, seed=21, n_estimators=4):
         support = set(idx.tolist())
         oob = set(range(60)) - support
         assert support | oob == set(range(60))
         assert support & oob == set()
+
+
+def _oob_error_reference(forest, X, y, bootstraps):
+    """A separate OOB pass after fitting: trees in order, one out-of-bag mask each."""
+    prob_sum = np.zeros(len(y))
+    tree_count = np.zeros(len(y), dtype=np.int64)
+    for tree, idx in zip(forest.trees, bootstraps):
+        oob = np.ones(len(y), dtype=bool)
+        oob[idx] = False
+        if oob.any():
+            prob_sum[oob] += tree_predict_proba(tree, X[oob])
+            tree_count[oob] += 1
+    covered = tree_count > 0
+    pred = (prob_sum[covered] / tree_count[covered] >= 0.5).astype(np.int64)
+    return float(np.mean(pred != y[covered]))
+
+
+def test_oob_error_equals_a_separate_pass_over_the_bootstraps():
+    for n, n_estimators, params, seed in ((60, 4, TreeParams(8, 4, 3), 21),
+                                          (150, 8, TreeParams(8, 4, 5), 5),
+                                          (300, 25, TreeParams(20, 10, 3), 3)):
+        X, y = separable_classification(n, seed=seed)
+        forest = fit_forest(X, y, n_estimators=n_estimators, params=params, seed=seed)
+        assert forest.oob_error == _oob_error_reference(
+            forest, X, y, _bootstraps(n, seed, n_estimators))
 
 
 def test_oob_error_close_to_held_out_validation_error():
@@ -419,11 +447,3 @@ def test_forest_round_trip():
     assert back.n_estimators == 6 and back.seed == 3
     assert back.oob_error == forest.oob_error
     assert np.array_equal(predict_forest(back, X), predict_forest(forest, X))
-
-
-def test_oob_requires_bootstrap_indices():
-    X, y = separable_classification(40, seed=7)
-    forest = fit_forest(X, y, n_estimators=3, params=TreeParams(8, 4, 3), seed=5)
-    restored = forest_from_dict(forest_to_dict(forest))
-    with pytest.raises(ValueError):
-        oob_error(restored, X, y)
