@@ -253,7 +253,7 @@ def _train_and_save(name: str, ds: dataset.LabeledDataset, split: dataset.SplitR
     try:
         with np.errstate(all="ignore"):  # a diverging fit shows as a non-finite cost
             doc, history = spec.fit(X, y, config.models[name], config.model_seed(name))
-    except (ValueError, TrainingDivergedError, RecursionError) as exc:  # a tree too deep
+    except (ValueError, TrainingDivergedError, RecursionError) as exc:  # too deep to nest
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
 
     _make_out_dir(config)

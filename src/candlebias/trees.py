@@ -4,8 +4,11 @@ Trees consume raw (unstandardized) features; axis-aligned thresholds are
 scale-equivariant. All randomness flows through :func:`candlebias.seeding.mix64`,
 and tree t of a forest depends only on (master seed, t).
 
-A tree is one :class:`Tree` of parallel node arrays, which fitting grows and
+A tree is one :class:`Tree` of parallel node arrays, which fitting builds and
 prediction reads; only a model file nests it (node_to_dict, node_from_dict).
+Fitting grows trees one depth level at a time: a forest grows a batch of
+trees together, each on its bootstrap given as a count per row, and a plain
+tree is the one-tree batch in which every row counts once (see _grow).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .seeding import mix64
 
 DEFAULT_N_ESTIMATORS = 250
 _FEATURE_STREAM = 1  # stream index for per-node feature sampling, vs 0 for bootstrap
+_BATCH_ENTRIES = 4096  # (tree, row) entries grown together; bounds the grower's arrays
 
 
 @dataclass
@@ -101,75 +105,211 @@ def impurity(labels) -> float:
     return float(_entropy(int(y.sum()), y.size))
 
 
+def _best_cuts(values, weight, positive, ids, sizes, candidates=None):
+    """The best cut of each segment of presorted entries: (feature, threshold, gain).
+
+    Entry e has row count weight[e], count of class 1 positive[e] and
+    feature f value values[f * len(weight) + e]. Row f of ids lists entries
+    in segments of sizes[s] entries each, ascending by feature f within a
+    segment. The cut after an entry sends that entry and those before it in
+    its segment left. Its gain is H - (n_l/n) H_l - (n_r/n) H_r, except that
+    it is 0 between equal values and after a segment's last entry. Each
+    segment takes the first maximum in (feature, position) order over the
+    features that candidates[:, s] allows (all when None), and the midpoint
+    of the values either side of that cut. A gain that is not positive means
+    no cut.
+    """
+    n_features, n_open = ids.shape
+    starts = np.cumsum(sizes) - sizes
+    last = starts + sizes - 1
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    n_l = np.cumsum(weight[ids], axis=1)    # through each entry; below, within its segment
+    pos_l = np.cumsum(positive[ids], axis=1)
+    n_before = n_l[0, starts] - weight[ids[0, starts]]
+    pos_before = pos_l[0, starts] - positive[ids[0, starts]]
+    n_seg = n_l[0, last] - n_before
+    pos_seg = pos_l[0, last] - pos_before
+    n_l -= n_before[seg]
+    pos_l -= pos_before[seg]
+    n = n_seg[seg]
+    with np.errstate(divide="ignore", invalid="ignore"):  # n_r is 0 after a last entry
+        gain = _entropy(pos_seg, n_seg)[seg] - (n_l / n) * _entropy(pos_l, n_l)
+        n_r = np.subtract(n, n_l, out=n_l)                  # in place: saves two arrays
+        pos_r = np.subtract(pos_seg[seg], pos_l, out=pos_l)
+        gain -= (n_r / n) * _entropy(pos_r, n_r)
+    xs = values[ids + np.arange(n_features)[:, None] * len(weight)]
+    gain[:, :-1][xs[:, :-1] == xs[:, 1:]] = 0.0
+    gain[:, last] = 0.0
+    seg_gain = np.maximum.reduceat(gain, starts, axis=1)
+    if candidates is not None:
+        seg_gain[~candidates] = 0.0
+    feature = np.argmax(seg_gain, axis=0)
+    best = seg_gain[feature, np.arange(len(sizes))]
+    cols = np.arange(n_open)
+    at_best = gain.ravel()[feature[seg] * n_open + cols] == best[seg]
+    cut = np.minimum.reduceat(np.where(at_best, cols, n_open), starts)
+    threshold = (xs[feature, cut] + xs[feature, cut + (best > 0.0)]) / 2.0
+    return feature, threshold, best
+
+
 def best_split(X: np.ndarray, y: np.ndarray, candidate_features=None):
     """Greedy search over midpoints between consecutive distinct feature values.
 
     Returns (feature_index, threshold, information_gain) for the gain-maximizing
     split, or None when no candidate has strictly positive gain. Ties break to
     the lowest feature index, then the lowest threshold; candidate features are
-    scanned in ascending index order regardless of the order supplied. One
-    array pass: sorted columns, running label sums, no gain between equal values.
+    scanned in ascending index order regardless of the order supplied. This is
+    the grower's scorer, :func:`_best_cuts`, on one segment of unit-count rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    n = len(y)
-    if n < 2:
+    if len(y) < 2:
         return None
-    feats = (np.arange(X.shape[1]) if candidate_features is None
-             else np.sort(np.asarray(candidate_features, dtype=np.intp)))
+    candidates = None
+    if candidate_features is not None:
+        candidates = np.zeros((X.shape[1], 1), dtype=bool)
+        candidates[np.asarray(candidate_features, dtype=np.intp)] = True
+    feature, threshold, gain = _best_cuts(X.T.ravel(), np.ones(len(y)), y,
+                                          np.argsort(X, axis=0, kind="stable").T, [len(y)],
+                                          candidates)
+    if gain[0] <= 0.0:
+        return None
+    return int(feature[0]), float(threshold[0]), float(gain[0])
 
-    cols = X[:, feats].T                                  # (features, rows)
-    order = np.argsort(cols, axis=1, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=1)
-    pos_l = np.cumsum(y[order], axis=1)[:, :-1]           # positives left of cut i
-    n_l = np.arange(1, n)
-    n_r = n - n_l
-    pos_total = int(y.sum())
-    gain = (_entropy(pos_total, n)
-            - (n_l / n) * _entropy(pos_l, n_l)
-            - (n_r / n) * _entropy(pos_total - pos_l, n_r))
-    gain[xs[:, :-1] == xs[:, 1:]] = 0.0
-    k, i = np.unravel_index(np.argmax(gain), gain.shape)  # first max, row-major
-    if gain[k, i] <= 0.0:
-        return None
-    return int(feats[k]), float((xs[k, i] + xs[k, i + 1]) / 2.0), float(gain[k, i])
+
+def _searched(n, positives, depth: int, params: TreeParams):
+    """Which nodes look for a split: impure, above max_depth, min_samples_split rows."""
+    return ((positives > 0) & (positives < n) & (n >= params.min_samples_split)
+            & (depth < params.max_depth))
+
+
+def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
+    """One tree per row of counts, grown level by level; see :func:`fit_tree`.
+
+    counts[t, r] is how often row r is in tree t's sample, and a (tree, row)
+    pair with a positive count is an entry. Each feature's entries are sorted
+    once, by (tree, value), so that every open node's entries form one
+    segment. A level scores all open nodes of all trees in one
+    :func:`_best_cuts` call, then moves the entries of each split node,
+    stably and by counting, into the segments of those children that are
+    searched next. A tree with a sampler draws candidate features for the
+    nodes it searches in breadth-first order. Nodes are numbered breadth
+    first, and each tree is returned in preorder.
+    """
+    n_features = X.shape[1]
+    tree_of, row_of = np.nonzero(counts)
+    n_entries = len(tree_of)
+    weight = counts[tree_of, row_of].astype(float)  # small integers: float sums are exact
+    positive = weight * y[row_of]
+    values = X[row_of].T.ravel()                     # feature f of entry e at f * n_entries + e
+    entry = np.full(counts.shape, -1, dtype=np.intp)
+    entry[tree_of, row_of] = np.arange(n_entries)
+    ids = entry[:, np.argsort(X, axis=0, kind="stable").T].swapaxes(0, 1)
+    ids = ids[ids >= 0].reshape(n_features, n_entries)  # by (tree, value) per feature
+    rows = np.arange(n_features)[:, None]
+    draw = samplers is not None and params.max_features < n_features
+
+    tree = np.arange(len(counts))
+    n = np.bincount(tree_of, weight, minlength=len(counts))
+    pos = np.bincount(tree_of, positive, minlength=len(counts))
+    sizes = np.bincount(tree_of, minlength=len(counts))
+    searched = _searched(n, pos, 0, params)
+    ids = ids[:, np.repeat(searched, sizes)]
+    sizes = sizes[searched]
+    levels, splits, first, depth = [], [], 0, 0
+    while True:
+        levels.append((tree, n, pos))
+        nodes = np.flatnonzero(searched)
+        if not nodes.size:
+            break
+        candidates = None
+        if draw:
+            candidates = np.zeros((n_features, nodes.size), dtype=bool)
+            for s, t in enumerate(tree[nodes]):
+                candidates[samplers[t].choice(n_features, size=params.max_features,
+                                              replace=False), s] = True
+        f, thr, gain = _best_cuts(values, weight, positive, ids, sizes, candidates)
+        split = gain > 0.0
+        parents = nodes[split]
+        children = first + len(tree) + 2 * np.arange(parents.size)  # left ones; right is +1
+        splits.append((first + parents, children, f[split], thr[split]))
+        first += len(tree)
+
+        # the children, the left then the right one of each split node
+        starts = np.cumsum(sizes) - sizes
+        seg = np.repeat(np.arange(nodes.size), sizes)
+        goes_left = values[ids + (f * n_entries)[seg]] <= thr[seg]
+        left_count = np.add.reduceat(goes_left[0], starts, dtype=np.intp)
+        n_left = np.add.reduceat(weight[ids[0]] * goes_left[0], starts)
+        pos_left = np.add.reduceat(positive[ids[0]] * goes_left[0], starts)
+        child_sizes = np.column_stack((left_count, sizes - left_count))
+        tree = np.repeat(tree[parents], 2)
+        n = np.column_stack((n_left, n[nodes] - n_left))[split].ravel()
+        pos = np.column_stack((pos_left, pos[nodes] - pos_left))[split].ravel()
+        depth += 1
+        searched = _searched(n, pos, depth, params)
+
+        # An entry moves to its child's start plus the number of the child's
+        # entries before it; entries of children not searched go to a spare
+        # last column.
+        kept = np.zeros((nodes.size, 2), dtype=bool)
+        kept[split] = searched.reshape(-1, 2)
+        kept_sizes = np.where(kept, child_sizes, 0)
+        n_kept = kept_sizes.sum()
+        child_start = np.where(kept, np.cumsum(kept_sizes).reshape(-1, 2) - kept_sizes, n_kept)
+        lefts_before = np.cumsum(left_count) - left_count
+        to_left = (child_start[:, 0] - lefts_before - 1)[seg]
+        to_right = (child_start[:, 1] - starts + lefts_before)[seg]
+        lefts_through = np.cumsum(goes_left, axis=1)
+        dest_right = np.arange(len(seg)) - lefts_through + to_right
+        dest = dest_right + goes_left * (lefts_through + to_left - dest_right)  # branch-free
+        moved = np.empty((n_features, n_kept + 1), dtype=ids.dtype)
+        moved.ravel()[np.minimum(dest, n_kept) + rows * (n_kept + 1)] = ids
+        ids = moved[:, :n_kept]
+        sizes = child_sizes[split].ravel()[searched]
+
+    tree, n, pos = (np.concatenate(c) for c in zip(*levels))
+    feature = np.full(len(tree), -1, dtype=np.intp)
+    threshold = np.zeros(len(tree))
+    left = np.full(len(tree), -1, dtype=np.intp)
+    for parents, children, f, thr in splits:
+        feature[parents], threshold[parents], left[parents] = f, thr, children
+    size = np.ones(len(tree), dtype=np.intp)  # nodes in the subtree under each node
+    for parents, children, _, _ in reversed(splits):
+        size[parents] += size[children] + size[children + 1]
+    at = np.zeros(len(tree), dtype=np.intp)   # preorder index within its tree
+    for parents, children, _, _ in splits:
+        at[children] = at[parents] + 1
+        at[children + 1] = at[children] + size[children]
+    ends = np.cumsum(size[:len(counts)])
+    order = np.empty_like(at)
+    order[(ends - size[:len(counts)])[tree] + at] = np.arange(len(tree))
+    split = feature >= 0
+    columns = (feature, threshold, np.where(split, at[left], -1),
+               np.where(split, at[left + 1], -1), np.where(split, 0.0, pos / n),
+               np.where(split, 0, n).astype(np.intp))
+    return [Tree(*c) for c in zip(*(np.split(c[order], ends[:-1]) for c in columns))]
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
              feature_sampler: np.random.Generator | None = None) -> Tree:
-    """Grow a tree greedily; rows with x[feature] <= threshold go left.
+    """Grow a tree greedily, one depth level at a time; x[feature] <= threshold goes left.
 
     A node becomes a leaf when it is pure, the depth cap is hit, it holds
     fewer than min_samples_split rows, or no split has positive gain. When a
-    feature_sampler is given, each node draws max_features candidate features
-    without replacement before the split search.
+    feature_sampler is given and max_features is below the feature count,
+    each node searched draws max_features candidate features without
+    replacement, in breadth-first order. Every row counts once, repeated
+    rows included.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     params = params or TreeParams()
     params.validate(X.shape[1])
-    nodes = []
-
-    def grow(X, y, depth) -> int:
-        n = len(y)
-        pos = int(y.sum())
-        i = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, pos / n, n])        # a leaf unless it splits
-        if pos == 0 or pos == n or depth >= params.max_depth or n < params.min_samples_split:
-            return i
-        candidates = None if feature_sampler is None else feature_sampler.choice(
-            X.shape[1], size=params.max_features, replace=False)
-        split = best_split(X, y, candidates)
-        if split is None:
-            return i
-        f, threshold, _ = split
-        mask = X[:, f] <= threshold
-        nodes[i] = [f, threshold, grow(X[mask], y[mask], depth + 1),
-                    grow(X[~mask], y[~mask], depth + 1), 0.0, 0]
-        return i
-
-    grow(X, y, 0)
-    return _tree(nodes)
+    if len(y) < 1:
+        raise ValueError("tree training needs at least 1 row")
+    samplers = None if feature_sampler is None else [feature_sampler]
+    return _grow(X, y, np.ones((1, len(y)), dtype=np.intp), params, samplers)[0]
 
 
 def predict_tree(tree: Tree, x) -> float:
@@ -208,6 +348,25 @@ def bootstrap_sample(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, n, size=n)
 
 
+def _batches(n: int, n_estimators: int, seed: int, bootstrap_fn):
+    """Row counts and feature samplers of consecutive trees, one batch at a time.
+
+    A batch holds whole trees: one, or as many as fit in _BATCH_ENTRIES
+    entries. Tree t depends only on (seed, t), so the batches move no bytes.
+    """
+    counts, samplers, entries = [], [], 0
+    for t in range(n_estimators):
+        tree_seed = mix64(seed, t)
+        in_bag = np.bincount(np.asarray(bootstrap_fn(n, tree_seed)), minlength=n)
+        if counts and entries + np.count_nonzero(in_bag) > _BATCH_ENTRIES:
+            yield np.array(counts), samplers
+            counts, samplers, entries = [], [], 0
+        counts.append(in_bag)
+        samplers.append(np.random.default_rng(mix64(tree_seed, _FEATURE_STREAM)))
+        entries += np.count_nonzero(in_bag)
+    yield np.array(counts), samplers
+
+
 def fit_forest(X: np.ndarray, y: np.ndarray,
                n_estimators: int = DEFAULT_N_ESTIMATORS,
                params: TreeParams | None = None,
@@ -219,7 +378,9 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     sampler from mix64(mix64(seed, t), 1), so tree t depends only on
     (seed, t): the first k trees of a larger forest equal a k-tree forest.
     ``bootstrap_fn(n, seed)`` is injectable for tests (e.g. an identity
-    bootstrap).
+    bootstrap). Trees grow in batches, level by level, each on its bootstrap
+    passed as a count per row; tree t equals
+    ``fit_tree(X[idx], y[idx], params, sampler)`` for its rows idx and sampler.
 
     The OOB error is the misclassification rate of rows under the trees whose
     bootstrap excludes them: each row is scored by the mean of those trees'
@@ -239,16 +400,12 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     forest = ForestModel(trees=[], params=params, n_estimators=n_estimators, seed=seed)
     prob_sum = np.zeros(n)
     tree_count = np.zeros(n, dtype=np.int64)
-    for t in range(n_estimators):
-        tree_seed = mix64(seed, t)
-        idx = np.asarray(bootstrap_fn(n, tree_seed))
-        sampler = np.random.default_rng(mix64(tree_seed, _FEATURE_STREAM))
-        tree = fit_tree(X[idx], y[idx], params, feature_sampler=sampler)
-        forest.trees.append(tree)
-        oob = np.ones(n, dtype=bool)
-        oob[idx] = False
-        prob_sum[oob] += tree_predict_proba(tree, X[oob])
-        tree_count[oob] += 1
+    for counts, samplers in _batches(n, n_estimators, seed, bootstrap_fn):
+        for tree, in_bag in zip(_grow(X, y, counts, params, samplers), counts):
+            forest.trees.append(tree)
+            oob = in_bag == 0
+            prob_sum[oob] += tree_predict_proba(tree, X[oob])
+            tree_count[oob] += 1
 
     covered = tree_count > 0
     if covered.any():

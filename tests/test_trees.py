@@ -1,4 +1,7 @@
+import collections
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +377,179 @@ def test_oob_error_close_to_held_out_validation_error():
     val_error = float(np.mean(predict_forest(forest, X_val) != y_val))
     assert forest.oob_error is not None
     assert abs(forest.oob_error - val_error) < 0.10
+
+
+# ---------------------------------------------------------------------------
+# level-wise growth against a recursive reference
+
+def _reference_best_split(X, y, candidate_features=None):
+    """One node's split search: argsort its own columns, scan every cut."""
+    n = len(y)
+    if n < 2:
+        return None
+    feats = (np.arange(X.shape[1]) if candidate_features is None
+             else np.sort(np.asarray(candidate_features, dtype=np.intp)))
+    cols = X[:, feats].T
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=1)
+    pos_l = np.cumsum(y[order], axis=1)[:, :-1]
+    n_l = np.arange(1, n)
+    n_r = n - n_l
+    pos_total = int(y.sum())
+    gain = (trees._entropy(pos_total, n)
+            - (n_l / n) * trees._entropy(pos_l, n_l)
+            - (n_r / n) * trees._entropy(pos_total - pos_l, n_r))
+    gain[xs[:, :-1] == xs[:, 1:]] = 0.0
+    k, i = np.unravel_index(np.argmax(gain), gain.shape)  # first max, row-major
+    if gain[k, i] <= 0.0:
+        return None
+    return int(feats[k]), float((xs[k, i] + xs[k, i + 1]) / 2.0), float(gain[k, i])
+
+
+def _reference_fit_tree(X, y, params, feature_sampler=None):
+    """Recursive growth in preorder: each node copies its rows and draws its candidates."""
+    nodes = []
+
+    def grow(X, y, depth):
+        n = len(y)
+        pos = int(y.sum())
+        i = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, pos / n, n])
+        if pos == 0 or pos == n or depth >= params.max_depth or n < params.min_samples_split:
+            return i
+        candidates = None if feature_sampler is None else feature_sampler.choice(
+            X.shape[1], size=params.max_features, replace=False)
+        split = _reference_best_split(X, y, candidates)
+        if split is None:
+            return i
+        f, threshold, _ = split
+        mask = X[:, f] <= threshold
+        nodes[i] = [f, threshold, grow(X[mask], y[mask], depth + 1),
+                    grow(X[~mask], y[~mask], depth + 1), 0.0, 0]
+        return i
+
+    grow(np.asarray(X, dtype=float), np.asarray(y), 0)
+    return trees._tree(nodes)
+
+
+def _assert_same_tree(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert json.dumps(node_to_dict(got)) == json.dumps(node_to_dict(expected))
+
+
+@pytest.mark.parametrize("n, decimals, n_estimators, params, seed", [
+    (300, None, 12, TreeParams(100, 100, 5), 7),  # the default parameters
+    (200, 1, 10, TreeParams(100, 2, 5), 8),       # min split 2; rounding ties values
+    (250, 0, 10, TreeParams(3, 2, 5), 9),         # a small max_depth; few distinct values
+    (400, 2, 8, TreeParams(12, 20, 5), 10),
+])
+def test_grower_equals_recursive_reference(n, decimals, n_estimators, params, seed):
+    X, y = separable_classification(n, seed=seed)
+    if decimals is not None:
+        X = np.round(X, decimals)
+    # repeated rows, some with the other label, are separate rows of a plain tree
+    X = np.vstack([X, X[:30]])
+    y = np.concatenate([y, y[:15], 1 - y[15:30]])
+    _assert_same_tree(fit_tree(X, y, params), _reference_fit_tree(X, y, params))
+
+    forest = fit_forest(X, y, n_estimators=n_estimators, params=params, seed=seed)
+    for t, idx in enumerate(_bootstraps(len(y), seed, n_estimators)):
+        sampler = np.random.default_rng(mix64(mix64(seed, t), 1))
+        _assert_same_tree(forest.trees[t], _reference_fit_tree(X[idx], y[idx], params, sampler))
+
+
+def _reference_breadth_first_fit(X, y, params, feature_sampler):
+    """Growth from a first-in first-out queue, so nodes draw in breadth-first
+    order; the nodes are then renumbered in preorder."""
+    nodes = []
+    queue = collections.deque([(np.arange(len(y)), 0, None)])  # rows, depth, parent link
+    while queue:
+        rows, depth, link = queue.popleft()
+        i, n, pos = len(nodes), len(rows), int(y[rows].sum())
+        nodes.append([-1, 0.0, -1, -1, pos / n, n])
+        if link is not None:
+            nodes[link[0]][link[1]] = i
+        if pos == 0 or pos == n or depth >= params.max_depth or n < params.min_samples_split:
+            continue
+        candidates = feature_sampler.choice(X.shape[1], size=params.max_features, replace=False)
+        split = _reference_best_split(X[rows], y[rows], candidates)
+        if split is None:
+            continue
+        f, threshold, _ = split
+        nodes[i] = [f, threshold, -1, -1, 0.0, 0]
+        goes_left = X[rows, f] <= threshold
+        queue.append((rows[goes_left], depth + 1, (i, 2)))
+        queue.append((rows[~goes_left], depth + 1, (i, 3)))
+    preorder, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        preorder.append(i)
+        if nodes[i][0] >= 0:
+            stack += [nodes[i][3], nodes[i][2]]
+    at = {i: k for k, i in enumerate(preorder)}
+    return trees._tree([[f, t, at.get(l, -1), at.get(r, -1), p, n]
+                        for f, t, l, r, p, n in (nodes[i] for i in preorder)])
+
+
+def test_feature_draws_follow_breadth_first_order():
+    X, y = separable_classification(300, seed=13)
+    X = np.round(X, 1)
+    for max_features in (1, 2, 3, 4):
+        params = TreeParams(12, 4, max_features)
+        sampler = lambda: np.random.default_rng(max_features)
+        _assert_same_tree(fit_tree(X, y, params, feature_sampler=sampler()),
+                          _reference_breadth_first_fit(X, y, params, sampler()))
+        forest = fit_forest(X, y, n_estimators=4, params=params, seed=max_features)
+        for t, idx in enumerate(_bootstraps(len(y), max_features, 4)):
+            tree_sampler = np.random.default_rng(mix64(mix64(max_features, t), 1))
+            _assert_same_tree(forest.trees[t],
+                              _reference_breadth_first_fit(X[idx], y[idx], params, tree_sampler))
+
+
+@pytest.mark.parametrize("max_features", [5, 3])
+def test_forest_prefix_does_not_depend_on_batches(max_features):
+    n, seed = 1000, 17
+    X, y = separable_classification(n, seed=seed)
+    entries = sum(np.count_nonzero(np.bincount(idx, minlength=n))
+                  for idx in _bootstraps(n, seed, 40))
+    assert entries > 4 * trees._BATCH_ENTRIES  # 40 trees are grown in several batches
+    params = TreeParams(20, 10, max_features)
+    full = forest_to_dict(fit_forest(X, y, n_estimators=40, params=params, seed=seed))
+    for k in (1, 7, 23):
+        prefix = forest_to_dict(fit_forest(X, y, n_estimators=k, params=params, seed=seed))
+        assert json.dumps(prefix["trees"]) == json.dumps(full["trees"][:k])
+
+
+def test_fit_tree_grows_a_chain_deeper_than_the_recursion_limit():
+    # the deep-tree CLI test's 2,100 train rows: rising features, alternating labels
+    n = 2100
+    close = 100.0 + np.arange(n)
+    X = np.column_stack([close, 1000.0 + np.arange(n), close, close + 1.0, close - 1.0])
+    y = (np.arange(n) % 2 == 0).astype(np.int64)
+    tree = fit_tree(X, y, TreeParams(max_depth=5000, min_samples_split=2, max_features=5))
+    assert len(tree.feature) == 4199
+    depth = np.zeros(len(tree.feature), dtype=np.intp)
+    for i in np.flatnonzero(tree.feature >= 0):  # preorder: parents precede children
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    assert depth.max() > sys.getrecursionlimit()
+    assert np.array_equal(tree_predict(tree, X), y)
+
+
+def test_fitting_leaks_no_runtime_warning():
+    X, y = separable_classification(120, seed=3)
+    X[:, 2] = 1.0  # a constant column
+    identity = lambda n, seed: np.arange(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "OOB error undefined", UserWarning)
+        for labels in (y, np.ones_like(y), np.zeros_like(y)):  # pure roots and pure nodes
+            fit_tree(X, labels, TreeParams(100, 2, 5))
+            best_split(X, labels)
+            fit_forest(X, labels, n_estimators=5, params=TreeParams(10, 2, 3), seed=1)
+            fit_forest(X, labels, n_estimators=2, params=TreeParams(10, 2, 5), seed=1,
+                       bootstrap_fn=identity)
+        assert best_split(np.ones((6, 5)), y[:6]) is None  # every column constant
 
 
 # ---------------------------------------------------------------------------
