@@ -233,7 +233,8 @@ MODELS = {
                     "lr_cost_history.csv"),
     "dt": ModelSpec("DT", ("p_up", "feature"), _fit_dt,
                     lambda doc: trees.node_from_dict(doc),
-                    lambda m, X, y: (trees.tree_predict(m, X), None)),
+                    lambda m, X, y: ((trees.tree_predict_proba(m, X) >= 0.5).astype(np.int64),
+                                     None)),
     "rf": ModelSpec("RF", ("trees",), _fit_rf,
                     lambda doc: trees.forest_from_dict(doc),
                     lambda m, X, y: (trees.predict_forest(m, X), None)),
@@ -253,12 +254,13 @@ def _train_and_save(name: str, ds: dataset.LabeledDataset, split: dataset.SplitR
     try:
         with np.errstate(all="ignore"):  # a diverging fit shows as a non-finite cost
             doc, history = spec.fit(X, y, config.models[name], config.model_seed(name))
+        text = json.dumps(doc)
     except (ValueError, TrainingDivergedError, RecursionError) as exc:  # too deep to nest
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
 
     _make_out_dir(config)
     written = [config.out_dir / f"model_{name}.json"]
-    written[0].write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    written[0].write_text(text + "\n", encoding="utf-8")
     if spec.history_file:
         written.append(config.out_dir / spec.history_file)
         metrics.write_history_csv(written[-1], history)

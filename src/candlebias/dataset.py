@@ -108,6 +108,8 @@ class Standardizer:
         if mean.shape != (N_FEATURES,) or stddev.shape != (N_FEATURES,):
             raise ValueError(f"standardizer needs {N_FEATURES} means and stddevs, "
                              f"got shapes {mean.shape} and {stddev.shape}")
+        if not np.all(stddev > 0.0):
+            raise ValueError(f"standardizer stddevs must be positive, got {stddev.tolist()}")
         return cls(mean=mean, stddev=stddev)
 
 

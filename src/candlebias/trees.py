@@ -9,6 +9,8 @@ prediction reads; only a model file nests it (node_to_dict, node_from_dict).
 Fitting grows trees one depth level at a time: a forest grows a batch of
 trees together, each on its bootstrap given as a count per row, and a plain
 tree is the one-tree batch in which every row counts once (see _grow).
+Nodes keep the order they grow in, breadth first; loading a model file reads
+its nested nodes in that order, and neither conversion recurses.
 """
 
 from __future__ import annotations
@@ -52,11 +54,13 @@ class TreeParams:
 
 
 class Tree(NamedTuple):
-    """Parallel node arrays in preorder; node 0 is the root.
+    """Parallel node arrays numbered breadth first, as grown; node 0 is the root.
 
-    A split sends rows with x[feature] <= threshold to node left, others to
-    node right. A leaf has feature, left and right -1 and holds p_up, the
-    fraction of class 1 among its n training rows; splits hold p_up 0, n 0.
+    Parents come before children, each level in its parents' order, left
+    child first. A split sends rows with x[feature] <= threshold to node
+    left, others to node right. A leaf has feature, left and right -1 and
+    holds p_up, the fraction of class 1 among its n training rows; splits
+    hold p_up 0, n 0.
     """
 
     feature: np.ndarray
@@ -68,7 +72,7 @@ class Tree(NamedTuple):
 
 
 def _tree(nodes: list) -> Tree:
-    """Tree from preorder rows [feature, threshold, left, right, p_up, n]."""
+    """Tree from node rows [feature, threshold, left, right, p_up, n]."""
     feature, threshold, left, right, p_up, n = zip(*nodes)
     return Tree(np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
                 np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
@@ -87,22 +91,14 @@ class ForestModel:
 def _entropy(positives, n):
     """Elementwise entropy in bits of `positives` ones among `n`; 0 log 0 is 0.
 
-    impurity (hence the test oracle) and best_split share it, so they agree on
-    every logarithm; exact divisions make H(k, n) == H(n - k, n).
+    The split scorer and the tests' impurity oracle share it, so they agree
+    on every logarithm; exact divisions make H(k, n) == H(n - k, n).
     """
     p = np.divide(positives, n)
     q = np.divide(np.subtract(n, positives), n)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -p * np.log2(p) - q * np.log2(q)
     return np.where((p > 0.0) & (q > 0.0), h, 0.0)
-
-
-def impurity(labels) -> float:
-    """Entropy of a binary label multiset in bits; 0 log 0 counts as 0."""
-    y = np.asarray(labels)
-    if y.size == 0:
-        raise ValueError("impurity of an empty label set is undefined")
-    return float(_entropy(int(y.sum()), y.size))
 
 
 def _best_cuts(values, weight, positive, ids, sizes, candidates=None):
@@ -117,7 +113,8 @@ def _best_cuts(values, weight, positive, ids, sizes, candidates=None):
     segment takes the first maximum in (feature, position) order over the
     features that candidates[:, s] allows (all when None), and the midpoint
     of the values either side of that cut. A gain that is not positive means
-    no cut.
+    no cut. The midpoint is taken as halves, which cannot overflow; where
+    it rounds up to the value right of the cut, the value left of it is used.
     """
     n_features, n_open = ids.shape
     starts = np.cumsum(sizes) - sizes
@@ -148,8 +145,9 @@ def _best_cuts(values, weight, positive, ids, sizes, candidates=None):
     cols = np.arange(n_open)
     at_best = gain.ravel()[feature[seg] * n_open + cols] == best[seg]
     cut = np.minimum.reduceat(np.where(at_best, cols, n_open), starts)
-    threshold = (xs[feature, cut] + xs[feature, cut + (best > 0.0)]) / 2.0
-    return feature, threshold, best
+    lo, hi = xs[feature, cut], xs[feature, cut + (best > 0.0)]
+    threshold = lo * 0.5 + hi * 0.5
+    return feature, np.where(threshold == hi, lo, threshold), best
 
 
 def best_split(X: np.ndarray, y: np.ndarray, candidate_features=None):
@@ -194,7 +192,7 @@ def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
     stably and by counting, into the segments of those children that are
     searched next. A tree with a sampler draws candidate features for the
     nodes it searches in breadth-first order. Nodes are numbered breadth
-    first, and each tree is returned in preorder.
+    first, the order :class:`Tree` keeps.
     """
     n_features = X.shape[1]
     tree_of, row_of = np.nonzero(counts)
@@ -274,16 +272,11 @@ def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
     left = np.full(len(tree), -1, dtype=np.intp)
     for parents, children, f, thr in splits:
         feature[parents], threshold[parents], left[parents] = f, thr, children
-    size = np.ones(len(tree), dtype=np.intp)  # nodes in the subtree under each node
-    for parents, children, _, _ in reversed(splits):
-        size[parents] += size[children] + size[children + 1]
-    at = np.zeros(len(tree), dtype=np.intp)   # preorder index within its tree
-    for parents, children, _, _ in splits:
-        at[children] = at[parents] + 1
-        at[children + 1] = at[children] + size[children]
-    ends = np.cumsum(size[:len(counts)])
-    order = np.empty_like(at)
-    order[(ends - size[:len(counts)])[tree] + at] = np.arange(len(tree))
+    order = np.argsort(tree, kind="stable")  # by tree; breadth first within each
+    n_nodes = np.bincount(tree)
+    ends = np.cumsum(n_nodes)
+    at = np.empty_like(order)                 # index within its tree
+    at[order] = np.arange(len(tree)) - np.repeat(ends - n_nodes, n_nodes)
     split = feature >= 0
     columns = (feature, threshold, np.where(split, at[left], -1),
                np.where(split, at[left + 1], -1), np.where(split, 0.0, pos / n),
@@ -312,17 +305,6 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
     return _grow(X, y, np.ones((1, len(y)), dtype=np.intp), params, samplers)[0]
 
 
-def predict_tree(tree: Tree, x) -> float:
-    """Leaf probability of class 1 for one feature row; ties descend left.
-
-    The per-row reference that the tests hold :func:`tree_predict_proba` to.
-    """
-    i = 0
-    while tree.feature[i] >= 0:
-        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
-    return float(tree.p_up[i])
-
-
 def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Leaf probability of class 1 per row; all rows descend one level per step."""
     X = np.asarray(X, dtype=float)
@@ -335,10 +317,6 @@ def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
         node[rows] = np.where(goes_left, left[at], right[at])
         rows = rows[feature[node[rows]] >= 0]
     return p_up[node]
-
-
-def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
-    return (tree_predict_proba(tree, X) >= 0.5).astype(np.int64)
 
 
 def bootstrap_sample(n: int, seed: int) -> np.ndarray:
@@ -428,34 +406,27 @@ def predict_forest(forest: ForestModel, X: np.ndarray) -> np.ndarray:
 def node_to_dict(tree: Tree) -> dict:
     """The nested JSON form of a tree: {feature, threshold, left, right} or {p_up, n}."""
     feature, threshold, left, right, p_up, n = (column.tolist() for column in tree)
-
-    def node(i):
-        if feature[i] < 0:
-            return {"p_up": p_up[i], "n": n[i]}
-        return {"feature": feature[i], "threshold": threshold[i],
-                "left": node(left[i]), "right": node(right[i])}
-
-    return node(0)
+    nodes = [None] * len(feature)
+    for i in reversed(range(len(feature))):  # children follow parents, so are built first
+        nodes[i] = ({"p_up": p_up[i], "n": n[i]} if feature[i] < 0 else
+                    {"feature": feature[i], "threshold": threshold[i],
+                     "left": nodes[left[i]], "right": nodes[right[i]]})
+    return nodes[0]
 
 
 def node_from_dict(d: dict) -> Tree:
-    """A tree from its nested JSON form; split features must be ints in range."""
-    nodes = []
-
-    def add(d) -> int:
-        i = len(nodes)
-        nodes.append(None)
-        if "p_up" in d:
-            nodes[i] = [-1, 0.0, -1, -1, float(d["p_up"]), int(d["n"])]
-            return i
-        feature = d["feature"]
+    """A tree from its nested JSON form, numbered as grown; split features are ints in range."""
+    nodes, queue = [], [d]
+    for node in queue:  # first in, first out: each split queues its left, then right child
+        if "p_up" in node:
+            nodes.append([-1, 0.0, -1, -1, float(node["p_up"]), int(node["n"])])
+            continue
+        feature = node["feature"]
         if type(feature) is not int or not 0 <= feature < N_FEATURES:
             raise ValueError(f"split feature must be an integer in 0..{N_FEATURES - 1}, "
                              f"got {feature!r}")
-        nodes[i] = [feature, float(d["threshold"]), add(d["left"]), add(d["right"]), 0.0, 0]
-        return i
-
-    add(d)
+        nodes.append([feature, float(node["threshold"]), len(queue), len(queue) + 1, 0.0, 0])
+        queue += (node["left"], node["right"])
     return _tree(nodes)
 
 

@@ -22,7 +22,7 @@ from candlebias import cli, logistic, metrics, neural, trees
 from candlebias.dataset import ingest_csv
 
 from conftest import FIXTURE_DIR, separable_classification, synthetic_candles, write_raw_csv
-from test_trees import oracle_best_split, random_instance
+from test_trees import oracle_best_split, predict_tree, random_instance, tree_predict
 
 
 def _locate_jpx():
@@ -171,10 +171,10 @@ def test_criterion_7_single_tree_forest_equals_plain_tree():
             tree = trees.fit_tree(X, y, params)
             queries = rng.normal(size=(32, 5))
             assert np.array_equal(
-                np.array([trees.predict_tree(forest.trees[0], q) for q in queries]),
+                np.array([predict_tree(forest.trees[0], q) for q in queries]),
                 trees.tree_predict_proba(tree, queries))
             assert np.array_equal(trees.predict_forest(forest, queries),
-                                  trees.tree_predict(tree, queries))
+                                  tree_predict(tree, queries))
 
 
 def test_criterion_8_determinism(tmp_path):

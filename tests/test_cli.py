@@ -486,6 +486,10 @@ BAD_INPUT_FILES = {
     "lr_model_narrow_standardizer": ("model", lambda ws: _lr_model(_LR_THETA, 2)),
     "lr_model_null_standardizer": ("model", lambda ws: json.dumps(
         {**json.loads(_lr_model(_LR_THETA, 5)), "standardizer": None})),
+    "lr_standardizer_zero_stddev": ("model", lambda ws: _lr_model(_LR_THETA, 5).replace(
+        '"stddev": [1.0', '"stddev": [0.0', 1)),
+    "fnn_standardizer_negative_stddev": ("model", lambda ws: _fnn_model(
+        [5, 1], [(1, 5)]).replace('"stddev": [1.0', '"stddev": [-1.0', 1)),
     "fnn_model_without_standardizer": ("model", lambda ws: json.dumps(
         {key: value for key, value in json.loads(_fnn_model([5, 1], [(1, 5)])).items()
          if key != "standardizer"})),

@@ -17,16 +17,35 @@ from candlebias.trees import (
     fit_tree,
     forest_from_dict,
     forest_to_dict,
-    impurity,
     node_from_dict,
     node_to_dict,
     predict_forest,
-    predict_tree,
-    tree_predict,
     tree_predict_proba,
 )
 
 from conftest import separable_classification
+
+
+def impurity(labels) -> float:
+    """Entropy of a binary label multiset in bits; 0 log 0 counts as 0."""
+    y = np.asarray(labels)
+    if y.size == 0:
+        raise ValueError("impurity of an empty label set is undefined")
+    return float(trees._entropy(int(y.sum()), y.size))
+
+
+def predict_tree(tree, x) -> float:
+    """Leaf probability of class 1 for one feature row, one node at a time; ties
+    descend left. The per-row reference that tree_predict_proba is held to."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return float(tree.p_up[i])
+
+
+def tree_predict(tree, X):
+    """Class 1 where the tree's leaf probability is at least 0.5, as the DT is scored."""
+    return (tree_predict_proba(tree, X) >= 0.5).astype(np.int64)
 
 
 def oracle_best_split(X, y, candidate_features=None):
@@ -193,7 +212,7 @@ def test_predict_tree_depth_two_trace():
                  "right": {"p_up": 0.6, "n": 3}},
         "right": {"p_up": 0.9, "n": 5},
     })
-    assert tree.left.tolist() == [1, 2, -1, -1, -1]   # preorder, node 0 the root
+    assert tree.left.tolist() == [1, 3, -1, -1, -1]   # breadth first, node 0 the root
     assert predict_tree(tree, np.array([1.0, 12.0, 0, 0, 0])) == 0.6
     assert predict_tree(tree, np.array([1.0, 9.0, 0, 0, 0])) == 0.1
     assert predict_tree(tree, np.array([3.0, 0.0, 0, 0, 0])) == 0.9
@@ -406,8 +425,21 @@ def _reference_best_split(X, y, candidate_features=None):
     return int(feats[k]), float((xs[k, i] + xs[k, i + 1]) / 2.0), float(gain[k, i])
 
 
+def _breadth_first(nodes):
+    """The tree of node rows [feature, threshold, left, right, p_up, n], renumbered
+    breadth first from node 0."""
+    order = [0]
+    for i in order:
+        if nodes[i][0] >= 0:
+            order += [nodes[i][2], nodes[i][3]]
+    at = {i: k for k, i in enumerate(order)}
+    return trees._tree([[f, t, at.get(l, -1), at.get(r, -1), p, n]
+                        for f, t, l, r, p, n in (nodes[i] for i in order)])
+
+
 def _reference_fit_tree(X, y, params, feature_sampler=None):
-    """Recursive growth in preorder: each node copies its rows and draws its candidates."""
+    """Recursive growth in preorder: each node copies its rows and draws its
+    candidates; the nodes are then renumbered breadth first."""
     nodes = []
 
     def grow(X, y, depth):
@@ -429,7 +461,7 @@ def _reference_fit_tree(X, y, params, feature_sampler=None):
         return i
 
     grow(np.asarray(X, dtype=float), np.asarray(y), 0)
-    return trees._tree(nodes)
+    return _breadth_first(nodes)
 
 
 def _assert_same_tree(got, expected):
@@ -460,8 +492,8 @@ def test_grower_equals_recursive_reference(n, decimals, n_estimators, params, se
 
 
 def _reference_breadth_first_fit(X, y, params, feature_sampler):
-    """Growth from a first-in first-out queue, so nodes draw in breadth-first
-    order; the nodes are then renumbered in preorder."""
+    """Growth from a first-in first-out queue, so nodes draw and are numbered
+    in breadth-first order."""
     nodes = []
     queue = collections.deque([(np.arange(len(y)), 0, None)])  # rows, depth, parent link
     while queue:
@@ -481,15 +513,7 @@ def _reference_breadth_first_fit(X, y, params, feature_sampler):
         goes_left = X[rows, f] <= threshold
         queue.append((rows[goes_left], depth + 1, (i, 2)))
         queue.append((rows[~goes_left], depth + 1, (i, 3)))
-    preorder, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        preorder.append(i)
-        if nodes[i][0] >= 0:
-            stack += [nodes[i][3], nodes[i][2]]
-    at = {i: k for k, i in enumerate(preorder)}
-    return trees._tree([[f, t, at.get(l, -1), at.get(r, -1), p, n]
-                        for f, t, l, r, p, n in (nodes[i] for i in preorder)])
+    return trees._tree(nodes)
 
 
 def test_feature_draws_follow_breadth_first_order():
@@ -530,10 +554,35 @@ def test_fit_tree_grows_a_chain_deeper_than_the_recursion_limit():
     tree = fit_tree(X, y, TreeParams(max_depth=5000, min_samples_split=2, max_features=5))
     assert len(tree.feature) == 4199
     depth = np.zeros(len(tree.feature), dtype=np.intp)
-    for i in np.flatnonzero(tree.feature >= 0):  # preorder: parents precede children
+    for i in np.flatnonzero(tree.feature >= 0):  # breadth first: parents precede children
         depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
     assert depth.max() > sys.getrecursionlimit()
     assert np.array_equal(tree_predict(tree, X), y)
+    # the nested form round-trips without recursing; arrays are compared, since
+    # == on the nested dicts would recurse
+    back = node_from_dict(node_to_dict(tree))
+    for fitted, loaded in zip(tree, back, strict=True):
+        assert fitted.dtype == loaded.dtype and np.array_equal(fitted, loaded)
+
+
+@pytest.mark.parametrize("column", [
+    [1.0e308, 1.2e308, 1.5e308, 1.7e308],  # (a + b) / 2 overflows to inf
+    # adjacent floats whose midpoint rounds (ties to even) up to the right value
+    [1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0), 2.0],
+])
+def test_split_threshold_lies_between_the_values_either_side(column):
+    X = np.zeros((4, 5))
+    X[:, 0] = column
+    y = np.array([0, 0, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f, threshold, gain = best_split(X, y)
+        tree = fit_tree(X, y, TreeParams(10, 2, 5))
+    assert (f, gain) == (0, 1.0)
+    assert column[1] <= threshold < column[2]
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold[0] == threshold
+    assert tree.p_up.tolist() == [0.0, 0.0, 1.0] and tree.n.tolist() == [0, 2, 2]
 
 
 def test_fitting_leaks_no_runtime_warning():
