@@ -212,7 +212,12 @@ def _with_standardizer(model, doc: dict):
 
 def _score_proba(proba, model, std, X, y):
     """Standardize, take the probability, threshold it at 0.5 and report BCE loss."""
-    p = proba(model, dataset.apply_standardizer(std, X))
+    with np.errstate(all="ignore"):  # a tiny stddev overflows; checked below
+        X = dataset.apply_standardizer(std, X)
+    if not np.isfinite(X).all():
+        raise DataError(f"standardizer with stddevs {std.stddev.tolist()} "
+                        "scales the features past the float range")
+    p = proba(model, X)
     return (p >= 0.5).astype(np.int64), logistic.bce_loss(p, y.astype(float))
 
 
@@ -300,10 +305,15 @@ def _load_model(path: Path):
         raise DataError(f"model file {path}: {exc}") from exc
 
 
-def _evaluate(name: str, model, ds: dataset.LabeledDataset, rng: range) -> metrics.EvalReport:
+def _evaluate(path: Path, ds: dataset.LabeledDataset, rng: range):
+    """Load a model file and score it on rows rng; returns (model name, report)."""
+    name, model = _load_model(path)
     y = ds.labels(rng)
-    y_pred, loss = MODELS[name].score(model, ds.rows(rng), y)
-    return metrics.evaluate(MODELS[name].label, y, y_pred, loss=loss)
+    try:
+        y_pred, loss = MODELS[name].score(model, ds.rows(rng), y)
+    except DataError as exc:
+        raise DataError(f"model file {path}: {exc}") from exc
+    return name, metrics.evaluate(MODELS[name].label, y, y_pred, loss=loss)
 
 
 def _write_report(config: RunConfig, stem: str, text: str) -> Path:
@@ -357,8 +367,7 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     ds, split = _load_split_dataset(config, args)
     model_path = Path(args.model_file) if args.model_file \
         else config.out_dir / f"model_{args.model}.json"
-    name, model = _load_model(model_path)
-    report = _evaluate(name, model, ds, getattr(split, args.eval_split))
+    name, report = _evaluate(model_path, ds, getattr(split, args.eval_split))
 
     text = metrics.render([report], config.report_format,
                           metadata={"split": args.eval_split})
@@ -376,7 +385,7 @@ def cmd_compare(config: RunConfig, args) -> int:
     reports = []
     for name in MODEL_NAMES:
         model_path = _train_and_save(name, ds, split, config)[0]
-        reports.append(_evaluate(*_load_model(model_path), ds, getattr(split, eval_split[name])))
+        reports.append(_evaluate(model_path, ds, getattr(split, eval_split[name]))[1])
 
     metadata = {
         "securities_code": config.securities_code,

@@ -52,16 +52,19 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def entropy_cost(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
-    """Mean binary cross-entropy of sigmoid(X @ theta) against y.
+def cost_and_gradient(X: np.ndarray, y: np.ndarray, theta: np.ndarray):
+    """(cost, gradient) at theta: the mean binary cross-entropy of
+    p = sigmoid(X @ theta) against y, and its gradient (1/N) X^T (p - y).
 
     X must already carry the intercept column.
     """
     X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if X.shape != (len(y), len(theta)):
-        raise ValueError(f"shape mismatch: X {X.shape}, y {np.shape(y)}, theta {theta.shape}")
-    return bce_loss(sigmoid(X @ theta), y)
+        raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}, theta {theta.shape}")
+    p = sigmoid(X @ theta)
+    return bce_loss(p, y), X.T @ (p - y) / len(y)
 
 
 def _with_intercept(X: np.ndarray) -> np.ndarray:
@@ -88,9 +91,10 @@ def train(X: np.ndarray, y: np.ndarray,
 
     theta = np.zeros(Xb.shape[1])
     costs = np.empty(epochs)
+    _, grad = cost_and_gradient(Xb, y, theta)
     for k in range(epochs):
-        theta = theta - alpha * gradient(Xb, y, theta)
-        cost = entropy_cost(Xb, y, theta)
+        theta = theta - alpha * grad
+        cost, grad = cost_and_gradient(Xb, y, theta)
         if not np.isfinite(cost):
             raise TrainingDivergedError(
                 f"non-finite cost {cost} after epoch {k} (alpha={alpha}); "
@@ -98,13 +102,6 @@ def train(X: np.ndarray, y: np.ndarray,
             )
         costs[k] = cost
     return LogisticModel(theta=theta, cost_history=costs, alpha=alpha, epochs=epochs)
-
-
-def gradient(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Analytic gradient (1/N) X^T (sigmoid(X theta) - y) of :func:`entropy_cost`."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return X.T @ (sigmoid(X @ theta) - y) / len(y)
 
 
 def predict_proba(model: LogisticModel, X: np.ndarray) -> np.ndarray:

@@ -188,9 +188,9 @@ def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
     pair with a positive count is an entry. Each feature's entries are sorted
     once, by (tree, value), so that every open node's entries form one
     segment. A level scores all open nodes of all trees in one
-    :func:`_best_cuts` call, then moves the entries of each split node,
-    stably and by counting, into the segments of those children that are
-    searched next. A tree with a sampler draws candidate features for the
+    :func:`_best_cuts` call, then moves the entries of each split node into
+    the segments of those children that are searched next, by a stable sort
+    on the child index. A tree with a sampler draws candidate features for the
     nodes it searches in breadth-first order. Nodes are numbered breadth
     first, the order :class:`Tree` keeps.
     """
@@ -204,7 +204,6 @@ def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
     entry[tree_of, row_of] = np.arange(n_entries)
     ids = entry[:, np.argsort(X, axis=0, kind="stable").T].swapaxes(0, 1)
     ids = ids[ids >= 0].reshape(n_features, n_entries)  # by (tree, value) per feature
-    rows = np.arange(n_features)[:, None]
     draw = samplers is not None and params.max_features < n_features
 
     tree = np.arange(len(counts))
@@ -233,38 +232,23 @@ def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
         splits.append((first + parents, children, f[split], thr[split]))
         first += len(tree)
 
-        # the children, the left then the right one of each split node
-        starts = np.cumsum(sizes) - sizes
+        # the children: 2s is the left and 2s + 1 the right one of open node s
         seg = np.repeat(np.arange(nodes.size), sizes)
-        goes_left = values[ids + (f * n_entries)[seg]] <= thr[seg]
-        left_count = np.add.reduceat(goes_left[0], starts, dtype=np.intp)
-        n_left = np.add.reduceat(weight[ids[0]] * goes_left[0], starts)
-        pos_left = np.add.reduceat(positive[ids[0]] * goes_left[0], starts)
-        child_sizes = np.column_stack((left_count, sizes - left_count))
-        tree = np.repeat(tree[parents], 2)
-        n = np.column_stack((n_left, n[nodes] - n_left))[split].ravel()
-        pos = np.column_stack((pos_left, pos[nodes] - pos_left))[split].ravel()
+        child = 2 * seg + (values[ids + (f * n_entries)[seg]] > thr[seg])
+        child_sizes, n, pos = (np.bincount(child[0], w, minlength=2 * nodes.size)
+                               for w in (None, weight[ids[0]], positive[ids[0]]))
+        made = np.repeat(split, 2)
+        tree, n, pos = np.repeat(tree[parents], 2), n[made], pos[made]
         depth += 1
         searched = _searched(n, pos, depth, params)
 
-        # An entry moves to its child's start plus the number of the child's
-        # entries before it; entries of children not searched go to a spare
-        # last column.
-        kept = np.zeros((nodes.size, 2), dtype=bool)
-        kept[split] = searched.reshape(-1, 2)
-        kept_sizes = np.where(kept, child_sizes, 0)
-        n_kept = kept_sizes.sum()
-        child_start = np.where(kept, np.cumsum(kept_sizes).reshape(-1, 2) - kept_sizes, n_kept)
-        lefts_before = np.cumsum(left_count) - left_count
-        to_left = (child_start[:, 0] - lefts_before - 1)[seg]
-        to_right = (child_start[:, 1] - starts + lefts_before)[seg]
-        lefts_through = np.cumsum(goes_left, axis=1)
-        dest_right = np.arange(len(seg)) - lefts_through + to_right
-        dest = dest_right + goes_left * (lefts_through + to_left - dest_right)  # branch-free
-        moved = np.empty((n_features, n_kept + 1), dtype=ids.dtype)
-        moved.ravel()[np.minimum(dest, n_kept) + rows * (n_kept + 1)] = ids
-        ids = moved[:, :n_kept]
-        sizes = child_sizes[split].ravel()[searched]
+        # A stable sort on the child moves each searched child's entries into
+        # one segment, keeping their order; the rest sort last and are cut off.
+        kept = np.zeros(2 * nodes.size, dtype=bool)
+        kept[made] = searched
+        sizes = child_sizes[kept]
+        order = np.argsort(np.where(kept[child], child, 2 * nodes.size), axis=1, kind="stable")
+        ids = np.take_along_axis(ids, order[:, :sizes.sum()], axis=1)
 
     tree, n, pos = (np.concatenate(c) for c in zip(*levels))
     feature = np.full(len(tree), -1, dtype=np.intp)

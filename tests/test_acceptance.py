@@ -99,19 +99,19 @@ def test_criterion_4_lr_gradient_check():
             X = np.hstack([np.ones((12, 1)), rng.normal(size=(12, 5))])
             y = rng.integers(0, 2, size=12)
             theta = rng.normal(size=6)
-            analytic = logistic.gradient(X, y, theta)
+            analytic = logistic.cost_and_gradient(X, y, theta)[1]
             fd = np.empty(6)
             h = 1e-6
             for j in range(6):
                 up, down = theta.copy(), theta.copy()
                 up[j] += h
                 down[j] -= h
-                fd[j] = (logistic.entropy_cost(X, y, up)
-                         - logistic.entropy_cost(X, y, down)) / (2 * h)
+                fd[j] = (logistic.cost_and_gradient(X, y, up)[0]
+                         - logistic.cost_and_gradient(X, y, down)[0]) / (2 * h)
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic),
                                                       np.linalg.norm(fd))
             assert rel < 1e-6, f"seed {seed}: rel {rel}"
-            assert abs(logistic.entropy_cost(X, y, np.zeros(6)) - math.log(2.0)) < 1e-12
+            assert abs(logistic.cost_and_gradient(X, y, np.zeros(6))[0] - math.log(2.0)) < 1e-12
 
 
 def test_criterion_5_nn_gradient_check():

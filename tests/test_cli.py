@@ -488,6 +488,8 @@ BAD_INPUT_FILES = {
         {**json.loads(_lr_model(_LR_THETA, 5)), "standardizer": None})),
     "lr_standardizer_zero_stddev": ("model", lambda ws: _lr_model(_LR_THETA, 5).replace(
         '"stddev": [1.0', '"stddev": [0.0', 1)),
+    "lr_standardizer_subnormal_stddev": ("model", lambda ws: _lr_model(_LR_THETA, 5).replace(
+        '"stddev": [1.0', '"stddev": [1e-320', 1)),
     "fnn_standardizer_negative_stddev": ("model", lambda ws: _fnn_model(
         [5, 1], [(1, 5)]).replace('"stddev": [1.0', '"stddev": [-1.0', 1)),
     "fnn_model_without_standardizer": ("model", lambda ws: json.dumps(

@@ -57,32 +57,32 @@ def test_sigmoid_vectorized():
 
 
 # ---------------------------------------------------------------------------
-# entropy_cost
+# cost_and_gradient: the cost
 
 def test_cost_at_zero_theta_is_ln2():
     rng = np.random.default_rng(0)
     for _ in range(5):
         X = _with_intercept(rng.normal(size=(12, 5)))
         y = rng.integers(0, 2, size=12)
-        assert abs(logistic.entropy_cost(X, y, np.zeros(6)) - math.log(2.0)) < 1e-12
+        assert abs(logistic.cost_and_gradient(X, y, np.zeros(6))[0] - math.log(2.0)) < 1e-12
 
 
 def test_cost_confident_correct_predictions_near_zero():
     X = _with_intercept(np.array([[-1.0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0]]))
     y = np.array([0, 1])
     theta = np.array([0.0, 100.0, 0, 0, 0, 0])
-    assert logistic.entropy_cost(X, y, theta) < 1e-6
+    assert logistic.cost_and_gradient(X, y, theta)[0] < 1e-6
 
 
 def test_cost_matches_high_precision_fixture():
     X = _with_intercept(FIXTURE_X5)
-    cost = logistic.entropy_cost(X, FIXTURE_Y, FIXTURE_THETA)
+    cost = logistic.cost_and_gradient(X, FIXTURE_Y, FIXTURE_THETA)[0]
     assert abs(cost - FIXTURE_COST) < 1e-14
 
 
 def test_cost_shape_mismatch():
     with pytest.raises(ValueError):
-        logistic.entropy_cost(np.ones((3, 5)), np.array([0, 1, 0]), np.zeros(6))
+        logistic.cost_and_gradient(np.ones((3, 5)), np.array([0, 1, 0]), np.zeros(6))
 
 
 def test_cost_is_non_negative():
@@ -91,11 +91,11 @@ def test_cost_is_non_negative():
         X = _with_intercept(rng.normal(size=(8, 5)))
         y = rng.integers(0, 2, size=8)
         theta = rng.normal(scale=3.0, size=6)
-        assert logistic.entropy_cost(X, y, theta) >= 0.0
+        assert logistic.cost_and_gradient(X, y, theta)[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------
-# gradient vs finite differences
+# cost_and_gradient: the gradient vs finite differences
 
 def _fd_gradient(X, y, theta, h=1e-6):
     g = np.empty_like(theta)
@@ -103,7 +103,8 @@ def _fd_gradient(X, y, theta, h=1e-6):
         up, down = theta.copy(), theta.copy()
         up[j] += h
         down[j] -= h
-        g[j] = (logistic.entropy_cost(X, y, up) - logistic.entropy_cost(X, y, down)) / (2 * h)
+        g[j] = (logistic.cost_and_gradient(X, y, up)[0]
+                - logistic.cost_and_gradient(X, y, down)[0]) / (2 * h)
     return g
 
 
@@ -113,7 +114,7 @@ def test_gradient_matches_finite_differences():
         X = _with_intercept(rng.normal(size=(12, 5)))
         y = rng.integers(0, 2, size=12)
         theta = rng.normal(size=6)
-        analytic = logistic.gradient(X, y, theta)
+        analytic = logistic.cost_and_gradient(X, y, theta)[1]
         fd = _fd_gradient(X, y, theta)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic),
                                                   np.linalg.norm(fd))

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from candlebias import trees
 from candlebias.seeding import mix64
@@ -529,6 +531,32 @@ def test_feature_draws_follow_breadth_first_order():
             tree_sampler = np.random.default_rng(mix64(mix64(max_features, t), 1))
             _assert_same_tree(forest.trees[t],
                               _reference_breadth_first_fit(X[idx], y[idx], params, tree_sampler))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grower_equals_references_on_small_random_inputs(data):
+    n = data.draw(st.integers(2, 40), label="rows")
+    X = np.empty((n, 5))
+    for f in range(5):  # few distinct values per feature, so ties are common
+        levels = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True))
+        X[:, f] = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    params = TreeParams(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)),
+                        data.draw(st.integers(1, 5)))
+    _assert_same_tree(fit_tree(X, y, params), _reference_fit_tree(X, y, params))
+
+    n_estimators = data.draw(st.integers(1, 12), label="trees")
+    seed, boot_seed = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 2**32 - 1))
+    bootstrap = lambda n, tree_seed: np.random.default_rng([boot_seed, tree_seed]).integers(
+        0, n, size=n)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "OOB error undefined", UserWarning)
+        forest = fit_forest(X, y, n_estimators, params, seed, bootstrap_fn=bootstrap)
+    for t, tree in enumerate(forest.trees):
+        idx = bootstrap(n, mix64(seed, t))
+        sampler = np.random.default_rng(mix64(mix64(seed, t), 1))
+        _assert_same_tree(tree, _reference_breadth_first_fit(X[idx], y[idx], params, sampler))
 
 
 @pytest.mark.parametrize("max_features", [5, 3])
