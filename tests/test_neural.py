@@ -142,10 +142,11 @@ def _fd_param_grads(model, X, y, h=1e-5):
     return grads
 
 
-def test_backward_matches_finite_differences():
+@pytest.mark.parametrize("layer_dims", [(5, 1), (5, 3, 1), (5, 8, 4, 1)])
+def test_backward_matches_finite_differences(layer_dims):
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        model = init_network(seed, (5, 8, 4, 1))
+        model = init_network(seed, layer_dims)
         X = rng.normal(size=(8, 5))
         y = rng.integers(0, 2, size=8).astype(float)
         _, cache = forward(model, X, with_cache=True)
