@@ -212,12 +212,14 @@ def _with_standardizer(model, doc: dict):
 
 def _score_proba(proba, model, std, X, y):
     """Standardize, take the probability, threshold it at 0.5 and report BCE loss."""
-    with np.errstate(all="ignore"):  # a tiny stddev overflows; checked below
+    with np.errstate(all="ignore"):  # a tiny stddev or huge weights overflow; checked below
         X = dataset.apply_standardizer(std, X)
-    if not np.isfinite(X).all():
-        raise DataError(f"standardizer with stddevs {std.stddev.tolist()} "
-                        "scales the features past the float range")
-    p = proba(model, X)
+        if not np.isfinite(X).all():
+            raise DataError(f"standardizer with stddevs {std.stddev.tolist()} "
+                            "scales the features past the float range")
+        p = proba(model, X)
+    if np.isnan(p).any():
+        raise DataError("weights overflow the float range: a probability is NaN")
     return (p >= 0.5).astype(np.int64), logistic.bce_loss(p, y.astype(float))
 
 
@@ -260,7 +262,8 @@ def _train_and_save(name: str, ds: dataset.LabeledDataset, split: dataset.SplitR
         with np.errstate(all="ignore"):  # a diverging fit shows as a non-finite cost
             doc, history = spec.fit(X, y, config.models[name], config.model_seed(name))
         text = json.dumps(doc)
-    except (ValueError, TrainingDivergedError, RecursionError) as exc:  # too deep to nest
+    except (ValueError, TrainingDivergedError, RecursionError,  # too deep to nest
+            MemoryError) as exc:  # a config asking for more than the address space
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
 
     _make_out_dir(config)

@@ -9,7 +9,7 @@ given the init seed, the shuffle seed and the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import TrainingDivergedError
 from .logistic import bce_loss, sigmoid
 
 DEFAULT_LAYER_DIMS = (5, 128, 64, 1)
+LEARNING_RATE, BETA1, BETA2, EPSILON = 0.001, 0.9, 0.999, 1e-8  # Adam's defaults
 
 
 @dataclass
@@ -32,15 +33,11 @@ class NetworkModel:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates with the optimizer's default constants."""
+    """First/second moment estimates, one array per parameter."""
 
     m: list
     v: list
     step_count: int = 0
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 @dataclass
@@ -49,14 +46,6 @@ class TrainConfig:
     batch_size: int = 32
     validation_fraction: float = 0.20
     shuffle_seed: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "validation_fraction": self.validation_fraction,
-            "shuffle_seed": self.shuffle_seed,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -81,42 +70,37 @@ def init_network(seed: int, layer_dims=DEFAULT_LAYER_DIMS) -> NetworkModel:
     return NetworkModel(layer_dims=tuple(layer_dims), weights=weights, biases=biases, seed=seed)
 
 
-def forward(model: NetworkModel, X: np.ndarray, with_cache: bool = False):
-    """Probabilities for a batch; optionally also the activation cache for backward."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    activations = [X]
-    pre_acts = []
-    a = X
+def _layers(model: NetworkModel, X: np.ndarray):
+    """Each layer's activations (the rows first) and pre-activations."""
+    a = np.atleast_2d(np.asarray(X, dtype=float))
+    activations, pre_acts = [a], []
     last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ W.T + b
         pre_acts.append(z)
         a = sigmoid(z) if i == last else np.maximum(0.0, z)
         activations.append(a)
-    probs = activations[-1][:, 0]
-    if with_cache:
-        return probs, {"activations": activations, "pre_acts": pre_acts, "probs": probs}
-    return probs
+    return activations, pre_acts
 
 
-def backward(model: NetworkModel, cache: dict, y: np.ndarray):
-    """Gradients of :func:`bce_loss` w.r.t. every weight and bias.
+def forward(model: NetworkModel, X: np.ndarray) -> np.ndarray:
+    """Probabilities for a batch of rows."""
+    return _layers(model, X)[0][-1][:, 0]
+
+
+def backward(model: NetworkModel, X: np.ndarray, y: np.ndarray):
+    """Gradients of :func:`bce_loss` on rows X and labels y w.r.t. every weight and bias.
 
     The sigmoid-output/cross-entropy pairing collapses the output delta to
-    (p - y) / batch. Raises if the cache does not match the model's shapes.
+    (p - y) / batch. Raises if X and y differ in length.
     """
     y = np.asarray(y, dtype=float)
-    activations, pre_acts = cache["activations"], cache["pre_acts"]
-    if len(pre_acts) != len(model.weights):
-        raise ValueError("cache does not match model depth")
-    for z, W in zip(pre_acts, model.weights):
-        if z.shape[1] != W.shape[0]:
-            raise ValueError("cache does not match model layer shapes")
+    activations, pre_acts = _layers(model, X)
     batch = len(y)
     if activations[0].shape[0] != batch:
-        raise ValueError("cache batch size does not match y")
+        raise ValueError(f"{activations[0].shape[0]} rows but {batch} labels")
 
-    delta = ((cache["probs"] - y) / batch)[:, None]
+    delta = ((activations[-1][:, 0] - y) / batch)[:, None]
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     for layer in range(len(model.weights) - 1, -1, -1):
@@ -127,25 +111,19 @@ def backward(model: NetworkModel, cache: dict, y: np.ndarray):
     return grads_w, grads_b
 
 
-def init_adam(model: NetworkModel) -> AdamState:
-    shapes = model.weights + model.biases
-    return AdamState(m=[np.zeros_like(p) for p in shapes],
-                     v=[np.zeros_like(p) for p in shapes])
-
-
 def adam_step(params: list, grads: list, state: AdamState) -> list:
     """One bias-corrected Adam update; returns new params, mutates state in place."""
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
         m_hat = state.m[i] / c1
         v_hat = state.v[i] / c2
-        out.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        out.append(p - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPSILON))
     return out
 
 
@@ -185,7 +163,8 @@ def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = Non
 
     model = init_network(seed, layer_dims)
     params = model.weights + model.biases
-    state = init_adam(model)
+    state = AdamState(m=[np.zeros_like(p) for p in params],
+                      v=[np.zeros_like(p) for p in params])
     n_w = len(model.weights)
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
 
@@ -194,8 +173,7 @@ def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = Non
         order = shuffle_rng.permutation(n_fit)
         for start in range(0, n_fit, config.batch_size):
             batch = order[start:start + config.batch_size]
-            _, cache = forward(model, X_fit[batch], with_cache=True)
-            grads_w, grads_b = backward(model, cache, y_fit[batch])
+            grads_w, grads_b = backward(model, X_fit[batch], y_fit[batch])
             params = adam_step(params, grads_w + grads_b, state)
             model.weights = params[:n_w]
             model.biases = params[n_w:]
@@ -215,7 +193,7 @@ def to_dict(model: NetworkModel, config: TrainConfig | None = None) -> dict:
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "seed": model.seed,
-        "config": config.as_dict() if config else None,
+        "config": asdict(config) if config else None,
     }
 
 

@@ -16,7 +16,7 @@ its nested nodes in that order, and neither conversion recurses.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,13 +40,6 @@ class TreeParams:
             raise ValueError("max_depth and min_samples_split must be positive")
         if not (1 <= self.max_features <= n_features):
             raise ValueError(f"max_features must be in 1..{n_features}")
-
-    def as_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "max_features": self.max_features,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
@@ -418,7 +411,7 @@ def forest_to_dict(forest: ForestModel) -> dict:
     return {
         "n_estimators": forest.n_estimators,
         "seed": forest.seed,
-        "params": forest.params.as_dict(),
+        "params": asdict(forest.params),
         "oob_error": forest.oob_error,
         "trees": [node_to_dict(tree) for tree in forest.trees],
     }

@@ -122,8 +122,7 @@ def test_criterion_5_nn_gradient_check():
             model = neural.init_network(seed, (5, 8, 4, 1))
             X = rng.normal(size=(8, 5))
             y = rng.integers(0, 2, size=8).astype(float)
-            _, cache = neural.forward(model, X, with_cache=True)
-            gw, gb = neural.backward(model, cache, y)
+            gw, gb = neural.backward(model, X, y)
             for arr, analytic in zip(model.weights + model.biases, gw + gb):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:

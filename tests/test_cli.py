@@ -209,6 +209,21 @@ def test_train_fnn_out_of_range_hyperparameter_names_it(key, value, workspace, t
     assert f"{key}={value}" in err
 
 
+# Both sizes exceed any 64-bit user address space, so the allocation fails at
+# once without touching memory.
+@pytest.mark.parametrize("model,section", [("lr", {"epochs": 10**15}),
+                                           ("fnn", {"layer_dims": [5, 10**14, 1]})])
+def test_train_impossible_allocation_exits_training(model, section, workspace, tmp_path,
+                                                    capsys):
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({model: section}))
+    rc = cli.main(["train", "--model", model, "--config", str(config),
+                   "--dataset", str(workspace.dataset), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_TRAINING
+    assert err.startswith(f"training error: cannot train {model}: ") and err.count("\n") == 1
+
+
 def test_train_diverging_fit_prints_one_line(tmp_path):
     # On this walk the cost turns NaN at epoch 384. A subprocess, because
     # pytest would capture numpy's RuntimeWarnings in-process.
@@ -499,6 +514,11 @@ BAD_INPUT_FILES = {
     "fnn_model_dims_disagree_with_weights": ("model", lambda ws: _fnn_model(
         [5, 4, 1], [(3, 5), (1, 3)])),
     "lr_theta_nan": ("model", lambda ws: _lr_model(_LR_THETA, 5).replace("1.0", "NaN", 1)),
+    "lr_theta_overflows_to_nan": ("model", lambda ws: _lr_model(
+        [0.0, 1e308, 0.0, -1e308, 0.0, 0.0], 5)),
+    "fnn_weights_overflow_to_nan": ("model", lambda ws: json.dumps(
+        {**json.loads(_fnn_model([5, 1], [(1, 5)])),
+         "weights": [[[1e308, 0.0, -1e308, 0.0, 0.0]]]})),
     "rf_leaf_infinity": ("model", lambda ws: _rf_model([_LEAF]).replace("1.0", "Infinity", 1)),
     "dt_threshold_overflows_float": ("model", lambda ws: json.dumps(_split(0)).replace(
         "0.0", "1e400", 1)),
