@@ -209,8 +209,9 @@ def test_train_fnn_out_of_range_hyperparameter_names_it(key, value, workspace, t
     assert f"{key}={value}" in err
 
 
-# Both sizes exceed any 64-bit user address space, so the allocation fails at
-# once without touching memory.
+# Both sizes (7.1 and 3.6 PiB) exceed a 64-bit process's user address space
+# (128 TiB on x86-64 Linux), so the allocation fails at once without touching
+# memory. Never use a size that could really be allocated.
 @pytest.mark.parametrize("model,section", [("lr", {"epochs": 10**15}),
                                            ("fnn", {"layer_dims": [5, 10**14, 1]})])
 def test_train_impossible_allocation_exits_training(model, section, workspace, tmp_path,
