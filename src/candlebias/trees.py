@@ -6,11 +6,11 @@ and tree t of a forest depends only on (master seed, t).
 
 A tree is one :class:`Tree` of parallel node arrays, which fitting builds and
 prediction reads; only a model file nests it (node_to_dict, node_from_dict).
-Fitting grows trees one depth level at a time: a forest grows a batch of
-trees together, each on its bootstrap given as a count per row, and a plain
-tree is the one-tree batch in which every row counts once (see _grow).
-Nodes keep the order they grow in, breadth first; loading a model file reads
-its nested nodes in that order, and neither conversion recurses.
+Fitting grows trees one depth level at a time: a forest grows a batch of trees
+together, each on its bootstrap given as a count per row, and a plain tree is
+the one-tree batch in which every row counts once (see _grow). Nodes keep the
+order they grow in, breadth first, as does loading a model file. Prediction
+partitions the rows that reach each split, ties going left. Nothing recurses.
 """
 
 from __future__ import annotations
@@ -283,17 +283,19 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
 
 
 def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf probability of class 1 per row; all rows descend one level per step."""
-    X = np.asarray(X, dtype=float)
+    """Leaf probability of class 1 per row. Each split partitions the rows that reach it, ties
+    going left; pending (node, rows) pairs are popped, so live row sets are disjoint."""
+    columns = np.asarray(X, dtype=float).T
     feature, threshold, left, right, p_up, _ = tree
-    node = np.zeros(len(X), dtype=np.intp)
-    rows = np.flatnonzero(feature[node] >= 0)
-    while rows.size:
-        at = node[rows]
-        goes_left = X[rows, feature[at]] <= threshold[at]
-        node[rows] = np.where(goes_left, left[at], right[at])
-        rows = rows[feature[node[rows]] >= 0]
-    return p_up[node]
+    proba, pending = np.empty(columns.shape[1]), [(0, np.arange(columns.shape[1]))]
+    while pending:
+        node, rows = pending.pop()
+        if feature[node] < 0:
+            proba[rows] = p_up[node]
+        elif rows.size:
+            goes_left = columns[feature[node], rows] <= threshold[node]
+            pending += ((left[node], rows[goes_left]), (right[node], rows[~goes_left]))
+    return proba
 
 
 def bootstrap_sample(n: int, seed: int) -> np.ndarray:
@@ -374,9 +376,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
 def predict_forest(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Class 1 when the mean leaf probability over trees is at least 0.5."""
     X = np.asarray(X, dtype=float)
-    total = np.zeros(len(X))      # summed in tree order, the order np.mean's sum takes
-    for tree in forest.trees:
-        total += tree_predict_proba(tree, X)
+    total = sum(tree_predict_proba(tree, X) for tree in forest.trees)  # in tree order, as np.mean
     return (total / len(forest.trees) >= 0.5).astype(np.int64)
 
 
@@ -396,6 +396,8 @@ def node_from_dict(d: dict) -> Tree:
     nodes, queue = [], [d]
     for node in queue:  # first in, first out: each split queues its left, then right child
         if "p_up" in node:
+            if not 0.0 <= float(node["p_up"]) <= 1.0:
+                raise ValueError(f"leaf p_up must be in [0, 1], got {node['p_up']!r}")
             nodes.append([-1, 0.0, -1, -1, float(node["p_up"]), int(node["n"])])
             continue
         feature = node["feature"]
@@ -420,6 +422,8 @@ def forest_to_dict(forest: ForestModel) -> dict:
 def forest_from_dict(d: dict) -> ForestModel:
     if not d["trees"]:
         raise ValueError("forest has no trees")
+    if int(d["n_estimators"]) != len(d["trees"]):
+        raise ValueError(f"n_estimators {d['n_estimators']!r} but {len(d['trees'])} trees")
     return ForestModel(
         trees=[node_from_dict(t) for t in d["trees"]],
         params=TreeParams.from_dict(d["params"]),

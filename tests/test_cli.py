@@ -498,6 +498,12 @@ BAD_INPUT_FILES = {
     "dt_model_fractional_feature": ("model", lambda ws: json.dumps(_split(1.7))),
     "rf_model_negative_feature": ("model", lambda ws: _rf_model([_split(-1)])),
     "rf_model_without_trees": ("model", lambda ws: _rf_model([])),
+    "rf_model_n_estimators_disagrees_with_trees": ("model", lambda ws: _rf_model(
+        [_LEAF, _split(0)])),
+    "dt_leaf_p_up_above_one": ("model", lambda ws: json.dumps(
+        {**_split(2), "right": {"p_up": 1.5, "n": 2}})),
+    "rf_leaf_p_up_negative": ("model", lambda ws: _rf_model([_split(1)]).replace(
+        '"p_up": 1.0', '"p_up": -0.25', 1)),
     "lr_model_short_theta": ("model", lambda ws: _lr_model([1.0, 0.0], 5)),
     "lr_model_narrow_standardizer": ("model", lambda ws: _lr_model(_LR_THETA, 2)),
     "lr_model_null_standardizer": ("model", lambda ws: json.dumps(
