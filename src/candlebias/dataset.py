@@ -20,6 +20,11 @@ FEATURE_COLUMNS = ("Close", "Volume", "Open", "High", "Low")
 N_FEATURES = len(FEATURE_COLUMNS)
 REQUIRED_COLUMNS = ("Date", "SecuritiesCode", "Open", "High", "Low", "Close", "Volume")
 LABELED_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Volume", "Next", "Target")
+# One record per dataset.csv row: every column but the date, under its own name.
+_ROW = np.dtype([(name, np.float64) for name in LABELED_COLUMNS[1:-1]]
+                + [(LABELED_COLUMNS[-1], np.int64)])
+_BLANK = ("\r\n", "\n", "\r")  # the lines csv.reader reads as empty rows
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 # Rows per write_labeled_csv block: whole columns of Python floats for a 12k-row
 # history stayed resident after the write and raised the peak RSS of what followed.
 _WRITE_BLOCK = 1024
@@ -262,47 +267,109 @@ def write_labeled_csv(ds: LabeledDataset, path) -> None:
 def read_labeled_csv(path) -> LabeledDataset:
     """Read a labeled CSV written by :func:`write_labeled_csv`.
 
-    A row that does not parse, or whose date does not come after the date
-    before it, raises DataError naming the file and line.
+    The seven numeric cells of every non-blank line are parsed in one
+    ``np.loadtxt`` pass, and each line's first cell by ``date.fromisoformat``.
+    A row that does not have eight fields, holds a cell that does not parse or
+    is not finite, or whose date does not come after the date before it raises
+    DataError naming the file and the line, blank lines counted.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
-    dates, rows, nexts, targets = [], [], [], []
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader, ()))
-            if header != LABELED_COLUMNS:
-                raise DataError(f"{path}: expected columns {LABELED_COLUMNS}, got {header}")
-            for fields in reader:
-                if not fields:
-                    continue
-                date, open_, high, low, close, volume, next_close, target = fields
-                values = [float(close), float(volume), float(open_), float(high), float(low),
-                          float(next_close)]
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"non-finite value in {fields[1:7]}")
-                date = datetime.date.fromisoformat(date)
-                if dates and date <= dates[-1]:
-                    raise ValueError(f"date {date} does not come after {dates[-1]}")
-                dates.append(date)
-                rows.append(values[:5])
-                nexts.append(values[5])
-                targets.append(int(target))
-        except (ValueError, csv.Error) as exc:
-            raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
-
-    if len(rows) == 0:
-        raise DataError(f"{path}: empty labeled dataset")
     try:
-        return LabeledDataset(
-            features=np.array(rows, dtype=float),
-            next_close=np.array(nexts, dtype=float),
-            targets=np.array(targets, dtype=np.int64),
-            dates=tuple(dates),
-        )
+        header = tuple(next(csv.reader(lines[:1]), ()))
+    except csv.Error as exc:
+        raise DataError(f"{path}, line 1: {exc}") from exc
+    if header != LABELED_COLUMNS:
+        raise DataError(f"{path}: expected columns {LABELED_COLUMNS}, got {header}")
+    rows = [line for line in lines[1:] if line not in _BLANK]
+    if not rows:
+        raise DataError(f"{path}: empty labeled dataset")
+
+    # Each check looks only at the rows before the first fault found so far,
+    # so the fault reported is the first one in the file.
+    table, end = _parse_prefix(rows)
+    fault = _row_fault(rows[end]) if end < len(rows) else None
+    features = np.stack([table[name] for name in FEATURE_COLUMNS], axis=1)
+    next_close = table["Next"].copy()
+    non_finite = ~(np.isfinite(features).all(axis=1) & np.isfinite(next_close))
+    if non_finite.any():
+        end = int(non_finite.argmax())
+        fault = f"non-finite value in {rows[end].split(',')[1:7]}"
+    dates = []
+    try:
+        for row in rows[:end]:
+            dates.append(datetime.date.fromisoformat(row.partition(",")[0]))
+    except ValueError as exc:
+        end, fault = len(dates), str(exc)
+    days = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(dates))
+    late = np.flatnonzero(days[1:] <= days[:-1])
+    if late.size:
+        end = int(late[0]) + 1
+        fault = f"date {dates[end]} does not come after {dates[end - 1]}"
+    if end < len(rows):
+        line = [i for i, text in enumerate(lines, 1) if text not in _BLANK][end + 1]
+        raise DataError(f"{path}, line {line}: {fault}")
+
+    try:
+        return LabeledDataset(features=features, next_close=next_close,
+                              targets=table["Target"].copy(), dates=tuple(dates))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _parse(rows) -> np.ndarray:
+    """The seven numeric cells of dataset.csv rows, as records of :data:`_ROW`.
+
+    Raises ValueError unless every row has eight fields whose numeric cells
+    parse. A row holding a non-ASCII character or one of the separators
+    \\x1c-\\x1f is rejected first: ``np.loadtxt`` reads the separators as
+    whitespace and some non-ASCII characters as integer digits, where
+    ``float`` and ``int`` refuse them.
+    """
+    text = "".join(rows)
+    if text.count(",") != (len(LABELED_COLUMNS) - 1) * len(rows):
+        raise ValueError(f"a row does not have {len(LABELED_COLUMNS)} fields")
+    if not text.isascii() or any(sep in text for sep in _SEPARATORS):
+        bad = next(c for c in text if not c.isascii() or c in _SEPARATORS)
+        raise ValueError(f"character {bad!r} is not allowed")
+    return np.loadtxt(rows, dtype=_ROW, delimiter=",", usecols=range(1, 8), comments=None,
+                      ndmin=1)
+
+
+def _parse_prefix(rows) -> tuple[np.ndarray, int]:
+    """Records of the rows before the first one :func:`_parse` rejects, and its index.
+
+    The index is ``len(rows)`` when every row parses. Otherwise halves of the
+    rows are parsed in turn, so finding the row costs about one more pass.
+    """
+    try:
+        return _parse(rows), len(rows)
+    except ValueError:
+        pass
+    parsed, lo, hi = [np.empty(0, _ROW)], 0, len(rows)  # rows[lo:hi] holds the first fault
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parsed.append(_parse(rows[lo:mid]))
+            lo = mid
+        except ValueError:
+            hi = mid
+    return np.concatenate(parsed), lo
+
+
+def _row_fault(row: str) -> str:
+    """Why :func:`_parse` rejects one row."""
+    fields = row.count(",") + 1
+    if fields != len(LABELED_COLUMNS):
+        many = "not enough" if fields < len(LABELED_COLUMNS) else "too many"
+        return f"{many} values: {fields} fields, expected {len(LABELED_COLUMNS)}"
+    try:
+        _parse([row])
+    except ValueError as exc:  # loadtxt's message also names row 0 of this one-row parse
+        return str(exc).partition(" at row ")[0]

@@ -293,7 +293,7 @@ def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
         if feature[node] < 0:
             proba[rows] = p_up[node]
         elif rows.size:
-            goes_left = columns[feature[node], rows] <= threshold[node]
+            goes_left = columns[feature[node]][rows] <= threshold[node]
             pending += ((left[node], rows[goes_left]), (right[node], rows[~goes_left]))
     return proba
 

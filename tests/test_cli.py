@@ -568,6 +568,38 @@ def test_bad_input_files_exit_data_with_one_line(case, workspace, tmp_path, caps
         assert "standardizer" in err
 
 
+def _with_cell(lines, index, column, cell):
+    fields = lines[index].split(",")
+    fields[column] = cell
+    return lines[:index] + [",".join(fields)] + lines[index + 1:]
+
+
+# Each damaged dataset.csv, as an edit of its lines (index 0 the header), and
+# the file line its data error must name. The date cells are all ones that
+# numpy's datetime64 parser would take.
+DATASET_FAULTS = {
+    "blank_line_before_a_short_row": (lambda lines: lines[:3] + [""] + lines[3:5] + [
+        ",".join(lines[5].split(",")[:4])] + lines[6:], 7),
+    "nine_fields": (lambda lines: lines[:5] + [lines[5] + ",1"] + lines[6:], 6),
+    "inf_next": (lambda lines: _with_cell(lines, 5, 6, "inf"), 6),
+    "date_equal_to_the_one_before": (lambda lines: _with_cell(
+        lines, 5, 0, lines[4].split(",")[0]), 6),
+    **{f"date_{cell or 'empty'}": (lambda lines, cell=cell: _with_cell(lines, 5, 0, cell), 6)
+       for cell in ("2020", "2020-01", "", "NaT", "2020-01-01T00")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_FAULTS))
+def test_dataset_fault_names_its_line(case, trained, tmp_path):
+    edit, line = DATASET_FAULTS[case]
+    bad = tmp_path / "dataset.csv"
+    bad.write_text("\n".join(edit(trained.dataset.read_text().splitlines())) + "\n")
+    rc, err = _run_quietly(["evaluate", "--model-file", str(trained.out / "model_lr.json"),
+                            "--dataset", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: {bad}, line {line}: ") and err.count("\n") == 1
+
+
 def test_out_dir_that_cannot_be_created_exits_data(workspace, tmp_path, capsys):
     blocker = tmp_path / "a_file"
     blocker.write_text("")

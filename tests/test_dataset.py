@@ -3,9 +3,13 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from candlebias import cli
 from candlebias.dataset import (
@@ -431,6 +435,168 @@ def test_read_labeled_csv_names_the_line_of_a_short_row(tmp_path):
     path = _corrupt_labeled_csv(tmp_path, 2, lambda line: ",".join(line.split(",")[:3]))
     with pytest.raises(DataError, match=r"labeled\.csv, line 3: not enough values"):
         read_labeled_csv(path)
+
+
+def _reference_read_labeled_csv(path) -> LabeledDataset:
+    """The per-row reader that the one-pass read_labeled_csv replaced: csv.reader,
+    float() and int() on every cell, with the same checks and line numbers."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+    dates, rows, nexts, targets = [], [], [], []
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(next(reader, ()))
+            if header != LABELED_COLUMNS:
+                raise DataError(f"{path}: expected columns {LABELED_COLUMNS}, got {header}")
+            for fields in reader:
+                if not fields:
+                    continue
+                date, open_, high, low, close, volume, next_close, target = fields
+                values = [float(close), float(volume), float(open_), float(high), float(low),
+                          float(next_close)]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"non-finite value in {fields[1:7]}")
+                date = datetime.date.fromisoformat(date)
+                if dates and date <= dates[-1]:
+                    raise ValueError(f"date {date} does not come after {dates[-1]}")
+                dates.append(date)
+                rows.append(values[:5])
+                nexts.append(values[5])
+                targets.append(int(target))
+        except (ValueError, csv.Error) as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+
+    if len(rows) == 0:
+        raise DataError(f"{path}: empty labeled dataset")
+    try:
+        return LabeledDataset(
+            features=np.array(rows, dtype=float),
+            next_close=np.array(nexts, dtype=float),
+            targets=np.array(targets, dtype=np.int64),
+            dates=tuple(dates),
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_or_error(read, path):
+    """The dataset read returns, or the message of the DataError it raises."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def _same_dataset(a, b):
+    """Equal bit for bit, array by array and date by date."""
+    return (a.features.tobytes() == b.features.tobytes() and a.features.shape == b.features.shape
+            and a.next_close.tobytes() == b.next_close.tobytes()
+            and np.array_equal(a.targets, b.targets) and a.dates == b.dates)
+
+
+_PRICE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # 17 significant digits, subnormals
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, -0.0, 0.1 + 0.2]),
+    st.integers(-2**53, 2**53).map(float),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_read_labeled_csv_reads_back_what_write_labeled_csv_wrote(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 12))
+    features = np.array(data.draw(st.lists(st.lists(_PRICE, min_size=5, max_size=5),
+                                           min_size=n, max_size=n)))
+    next_close = np.array(data.draw(st.lists(_PRICE, min_size=n, max_size=n)))
+    gaps = data.draw(st.lists(st.integers(1, 4000), min_size=n, max_size=n))
+    dates = tuple(datetime.date(1900, 1, 1) + datetime.timedelta(days=int(d))
+                  for d in np.cumsum(gaps))
+    ds = LabeledDataset(features, next_close, (next_close > features[:, 0]).astype(np.int64),
+                        dates)
+    path = tmp_path_factory.mktemp("round_trip") / "dataset.csv"
+    write_labeled_csv(ds, path)
+    back = read_labeled_csv(path)
+    assert _same_dataset(back, ds)
+    assert _same_dataset(back, _reference_read_labeled_csv(path))
+
+
+# Cells planted in damaged files: spellings numpy's parsers treat apart from
+# float(), int() and date.fromisoformat, and cells every reader refuses. numpy
+# reads "\x1f2" as 2.0 and "1\u01fe" as the integer 472; the per-row reader
+# refused both.
+_DAMAGE_CELLS = ["1_000", '"1.5"', "nan", "inf", "2020", "2020-01", "", "NaT", "\u0663",
+                 "2020-01-01T00", " 7 ", "-0", "1e400", "\x1f2", "1\u01fe"]
+# The spellings among them that the per-row reader took and read_labeled_csv refuses.
+_REFUSED_SPELLINGS = {"1_000", '"1.5"', "\u0663"}
+
+
+def _damaged_rows(rows, data):
+    """Apply 1-3 edits to the data rows (rows[1:]) of a split CSV: plant a cell,
+    shorten, lengthen or duplicate a row, or insert a blank line."""
+    rows = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(1, len(rows) - 1))
+        edit = data.draw(st.sampled_from(["cell", "shorten", "lengthen", "duplicate", "blank"]))
+        if edit == "cell" and rows[i]:
+            rows[i][data.draw(st.integers(0, len(rows[i]) - 1))] = data.draw(
+                st.sampled_from(_DAMAGE_CELLS))
+        elif edit == "shorten" and len(rows[i]) > 1:
+            del rows[i][data.draw(st.integers(1, len(rows[i]) - 1)):]
+        elif edit == "lengthen":
+            rows[i].append(data.draw(st.sampled_from(_DAMAGE_CELLS)))
+        elif edit == "duplicate":
+            rows.insert(i, list(rows[i]))
+        elif edit == "blank":
+            rows.insert(i, [])
+    return rows
+
+
+def _line_named(message, path):
+    match = re.match(rf"{re.escape(str(path))}, line (\d+): ", message)
+    return int(match[1]) if match else None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_labeled_csv_refuses_what_the_per_row_reader_refused(tmp_path_factory, data):
+    source = tmp_path_factory.mktemp("damaged") / "source.csv"
+    write_labeled_csv(_dataset(12), source)
+    rows = _damaged_rows([line.split(",") for line in source.read_text().splitlines()], data)
+    path = source.with_name("dataset.csv")
+    path.write_text("".join(",".join(row) + data.draw(st.sampled_from(["\r\n", "\n"]))
+                            for row in rows), encoding="utf-8")
+    expected = _read_or_error(_reference_read_labeled_csv, path)
+    got = _read_or_error(read_labeled_csv, path)
+    refused = [n for n, row in enumerate(rows, 1) if _REFUSED_SPELLINGS.intersection(row)]
+
+    if isinstance(got, LabeledDataset):
+        assert isinstance(expected, LabeledDataset) and _same_dataset(got, expected)
+    elif isinstance(expected, LabeledDataset):
+        assert refused and _line_named(got, path) == refused[0], got
+    else:
+        # Both refuse the file: at the same line, unless a spelling only the
+        # per-row reader took comes first.
+        lines = [n for n in [_line_named(expected, path)] + refused[:1] if n is not None]
+        if lines:
+            assert _line_named(got, path) == min(lines), (got, expected)
+        else:
+            assert got == expected
+
+
+@pytest.mark.parametrize("column, cell", [(2, "\x1f2"), (4, "4\x1c"), (7, "1\u01fe")])
+def test_read_labeled_csv_refuses_cells_only_numpy_parses(tmp_path, column, cell):
+    # np.loadtxt reads these as 2.0, 4.0 and 472; float() and int() refuse them.
+    path = _corrupt_labeled_csv(tmp_path, 3, lambda line: ",".join(
+        cell if i == column else field for i, field in enumerate(line.split(","))))
+    with pytest.raises(DataError, match=r"labeled\.csv, line 4: character .* is not allowed"):
+        read_labeled_csv(path)
+    with pytest.raises(DataError, match=r"labeled\.csv, line 4: "):
+        _reference_read_labeled_csv(path)
 
 
 def test_dataset_is_immutable():
