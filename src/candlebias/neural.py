@@ -4,6 +4,9 @@ Hidden layers use the rectifier max(0, z); the single output unit is a
 sigmoid. All arithmetic is double precision so the finite-difference
 gradient checks in the test suite are meaningful. Training is deterministic
 given the init seed, the shuffle seed and the data.
+
+Scoring computes one layer at a time, in place, and keeps no pre-activations;
+backward gates each hidden delta on its activation (max(0, z) > 0 iff z > 0).
 """
 
 from __future__ import annotations
@@ -70,22 +73,23 @@ def init_network(seed: int, layer_dims=DEFAULT_LAYER_DIMS) -> NetworkModel:
     return NetworkModel(layer_dims=tuple(layer_dims), weights=weights, biases=biases, seed=seed)
 
 
-def _layers(model: NetworkModel, X: np.ndarray):
-    """Each layer's activations (the rows first) and pre-activations."""
+def _activations(model: NetworkModel, X: np.ndarray):
+    """Yield the rows, then each layer's activations, each computed in place."""
     a = np.atleast_2d(np.asarray(X, dtype=float))
-    activations, pre_acts = [a], []
+    yield a
     last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ W.T + b
-        pre_acts.append(z)
-        a = sigmoid(z) if i == last else np.maximum(0.0, z)
-        activations.append(a)
-    return activations, pre_acts
+        z = a @ W.T
+        z += b
+        a = sigmoid(z) if i == last else np.maximum(0.0, z, out=z)
+        yield a
 
 
 def forward(model: NetworkModel, X: np.ndarray) -> np.ndarray:
-    """Probabilities for a batch of rows."""
-    return _layers(model, X)[0][-1][:, 0]
+    """Probabilities for a batch of rows, holding two consecutive layers at most."""
+    for a in _activations(model, X):
+        pass
+    return a[:, 0]
 
 
 def backward(model: NetworkModel, X: np.ndarray, y: np.ndarray):
@@ -95,7 +99,7 @@ def backward(model: NetworkModel, X: np.ndarray, y: np.ndarray):
     (p - y) / batch. Raises if X and y differ in length.
     """
     y = np.asarray(y, dtype=float)
-    activations, pre_acts = _layers(model, X)
+    activations = list(_activations(model, X))
     batch = len(y)
     if activations[0].shape[0] != batch:
         raise ValueError(f"{activations[0].shape[0]} rows but {batch} labels")
@@ -107,7 +111,7 @@ def backward(model: NetworkModel, X: np.ndarray, y: np.ndarray):
         grads_w[layer] = delta.T @ activations[layer]
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ model.weights[layer]) * (pre_acts[layer - 1] > 0.0)
+            delta = (delta @ model.weights[layer]) * (activations[layer] > 0.0)
     return grads_w, grads_b
 
 
@@ -129,9 +133,9 @@ def adam_step(params: list, grads: list, state: AdamState) -> list:
 
 def _check_layer_dims(layer_dims, n_inputs: int) -> None:
     if (len(layer_dims) < 2 or layer_dims[0] != n_inputs or layer_dims[-1] != 1
-            or any(width < 1 for width in layer_dims)):
+            or any(type(width) is not int or width < 1 for width in layer_dims)):
         raise ValueError(f"layer_dims must run from {n_inputs} inputs to 1 output, "
-                         f"every width at least 1, got {list(layer_dims)}")
+                         f"every width an integer of at least 1, got {list(layer_dims)}")
 
 
 def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None,
@@ -207,11 +211,6 @@ def from_dict(d: dict):
         raise ValueError(f"layer_dims {list(dims)} do not match weight shapes "
                          f"{[w.shape for w in weights]} and bias shapes "
                          f"{[b.shape for b in biases]}")
-    model = NetworkModel(
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        seed=int(d["seed"]),
-    )
+    model = NetworkModel(layer_dims=dims, weights=weights, biases=biases, seed=int(d["seed"]))
     config = TrainConfig.from_dict(d["config"]) if d.get("config") else None
     return model, config

@@ -520,6 +520,10 @@ BAD_INPUT_FILES = {
     "fnn_model_weights_cut_short": ("model", lambda ws: _fnn_model([5, 3, 1], [(3, 5)])),
     "fnn_model_dims_disagree_with_weights": ("model", lambda ws: _fnn_model(
         [5, 4, 1], [(3, 5), (1, 3)])),
+    "fnn_model_bool_layer_width": ("model", lambda ws: _fnn_model(
+        [5, True, 1], [(1, 5), (1, 1)])),
+    "fnn_model_float_layer_width": ("model", lambda ws: _fnn_model(
+        [5, 1.0, 1], [(1, 5), (1, 1)])),
     "lr_theta_nan": ("model", lambda ws: _lr_model(_LR_THETA, 5).replace("1.0", "NaN", 1)),
     "lr_theta_overflows_to_nan": ("model", lambda ws: _lr_model(
         [0.0, 1e308, 0.0, -1e308, 0.0, 0.0], 5)),

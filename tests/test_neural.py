@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from candlebias.neural import (
     bce_loss,
     forward,
     init_network,
+    sigmoid,
     train_network,
 )
 
@@ -89,6 +91,89 @@ def test_forward_batch_equals_row_by_row():
     batched = forward(model, X)
     single = np.array([forward(model, X[i:i + 1])[0] for i in range(16)])
     assert np.all(np.abs(batched - single) < 1e-12)
+
+
+def test_forward_holds_two_consecutive_layers_at_most():
+    # the two hidden layers of 4,000 rows, 4.1 and 2.0 MB, are the most a
+    # pass computed in place needs at once
+    model = init_network(3)
+    X = np.random.default_rng(5).standard_normal((4000, 5))
+    tracemalloc.start()
+    try:
+        forward(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 4000 * (128 + 64) * 8
+
+
+# ---------------------------------------------------------------------------
+# forward and backward against a pass that keeps every layer
+
+def _reference_layers(model, X):
+    """Each layer's activations (the rows first) and pre-activations, all kept."""
+    a = np.atleast_2d(np.asarray(X, dtype=float))
+    activations, pre_acts = [a], []
+    last = len(model.weights) - 1
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ W.T + b
+        pre_acts.append(z)
+        a = sigmoid(z) if i == last else np.maximum(0.0, z)
+        activations.append(a)
+    return activations, pre_acts
+
+
+def _reference_backward(model, X, y):
+    """Gradients with each hidden delta gated on its pre-activation."""
+    activations, pre_acts = _reference_layers(model, X)
+    delta = ((activations[-1][:, 0] - y) / len(y))[:, None]
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w[layer] = delta.T @ activations[layer]
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer]) * (pre_acts[layer - 1] > 0.0)
+    return grads_w, grads_b
+
+
+def _model_with_zero_units(seed, layer_dims):
+    """A seeded net, biases zero, whose hidden units 0 and 1 have zero weights
+    biased by 0.0 and -0.0, and unit 2 weights of 1e-200 biased by -0.0."""
+    model = init_network(seed, layer_dims)
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        W[:2] = 0.0
+        b[:2] = (0.0, -0.0)
+        W[2:3] = 1e-200
+        b[2:3] = -0.0
+    return model
+
+
+@pytest.mark.parametrize("layer_dims", [(5, 128, 64, 1), (5, 1), (5, 3, 2, 1)])
+def test_forward_and_backward_equal_the_all_layers_reference(layer_dims):
+    for seed in range(4):
+        model = _model_with_zero_units(seed, layer_dims)
+        rng = np.random.default_rng(seed + 100)
+        X = rng.normal(size=(300, 5))
+        X[:10] = 0.0  # every pre-activation of these rows is exactly zero
+        # a row whose products with unit 2's weights underflow: BLAS paths that
+        # accumulate by fused multiply-add sum them to -0.0
+        tiny = np.full((1, 5), -1e-200)
+        assert all(np.all(z[:10] == 0.0) for z in _reference_layers(model, X)[1])
+        for rows in (X, X[:1], X[:7], X[10:11], tiny, np.vstack([tiny, X[:20]])):
+            y = rng.integers(0, 2, size=len(rows)).astype(float)
+            ref_probabilities = _reference_layers(model, rows)[0][-1][:, 0]
+            assert np.array_equal(forward(model, rows), ref_probabilities)
+            gw, gb = backward(model, rows, y)
+            ref_gw, ref_gb = _reference_backward(model, rows, y)
+            for got, want in zip(gw + gb, ref_gw + ref_gb, strict=True):
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_activation_gate_agrees_with_pre_activation_gate():
+    # backward gates on max(0, z) > 0 where the reference gates on z > 0
+    z = np.array([-0.0, 0.0, np.nan, -np.nan, 5e-324, -5e-324, np.inf, -np.inf, 1.0, -1.0])
+    assert np.array_equal(np.maximum(0.0, z) > 0.0, z > 0.0)
 
 
 # ---------------------------------------------------------------------------
