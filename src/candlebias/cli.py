@@ -3,8 +3,9 @@
 Subcommands
     prepare   ingest raw OHLCV CSV, label it, write dataset.csv + summary JSON
     train     fit lr | dt | rf | fnn on the prepared dataset's train range
-    evaluate  score a saved model file on a dataset split
-    compare   train all four models and emit one combined report
+    evaluate  score a saved model file (--model or --model-file) on a dataset split
+    compare   train all four models and emit one combined report, scoring each
+              fitted document as evaluate scores a file, without reading it back
 
 Exit statuses: 0 success, 1 usage error, 2 data error, 3 training error.
 Every command is deterministic given (inputs, config, master seed); per-model
@@ -253,11 +254,10 @@ MODELS = {
 MODEL_NAMES = tuple(MODELS)
 
 
-def _train_and_save(name: str, ds: dataset.LabeledDataset, split: dataset.SplitRanges,
-                    config: RunConfig) -> list[Path]:
-    """Fit one model on the train range; write its model file and history CSV."""
+def _train_and_save(name: str, ds: dataset.LabeledDataset, train: range, config: RunConfig):
+    """Fit one model on rows train; write its model file and history CSV; return (doc, paths)."""
     spec = MODELS[name]
-    X, y = ds.rows(split.train), ds.labels(split.train)
+    X, y = ds.rows(train), ds.labels(train)
     try:
         with np.errstate(all="ignore"):  # a diverging fit shows as a non-finite cost
             doc, history = spec.fit(X, y, config.models[name], config.model_seed(name))
@@ -272,7 +272,7 @@ def _train_and_save(name: str, ds: dataset.LabeledDataset, split: dataset.SplitR
     if spec.history_file:
         written.append(config.out_dir / spec.history_file)
         metrics.write_history_csv(written[-1], history)
-    return written
+    return doc, written
 
 
 def detect_model_kind(doc) -> str:
@@ -308,15 +308,14 @@ def _load_model(path: Path):
         raise DataError(f"model file {path}: {exc}") from exc
 
 
-def _evaluate(path: Path, ds: dataset.LabeledDataset, rng: range):
-    """Load a model file and score it on rows rng; returns (model name, report)."""
-    name, model = _load_model(path)
+def _score(name: str, model, ds: dataset.LabeledDataset, rng: range, path: Path):
+    """Score a loaded model on rows rng; a scoring fault names path, its model file."""
     y = ds.labels(rng)
     try:
         y_pred, loss = MODELS[name].score(model, ds.rows(rng), y)
     except DataError as exc:
         raise DataError(f"model file {path}: {exc}") from exc
-    return name, metrics.evaluate(MODELS[name].label, y, y_pred, loss=loss)
+    return metrics.evaluate(MODELS[name].label, y, y_pred, loss=loss)
 
 
 def _write_report(config: RunConfig, stem: str, text: str) -> Path:
@@ -361,19 +360,19 @@ def cmd_prepare(config: RunConfig, args) -> int:
 
 def cmd_train(config: RunConfig, args) -> int:
     ds, split = _load_split_dataset(config, args)
-    written = _train_and_save(args.model, ds, split, config)
+    _, written = _train_and_save(args.model, ds, split.train, config)
     print(f"trained {args.model}: " + ", ".join(str(p) for p in written))
     return EXIT_OK
 
 
 def cmd_evaluate(config: RunConfig, args) -> int:
     ds, split = _load_split_dataset(config, args)
-    model_path = Path(args.model_file) if args.model_file \
-        else config.out_dir / f"model_{args.model}.json"
-    name, report = _evaluate(model_path, ds, getattr(split, args.eval_split))
+    model_path = (config.out_dir / f"model_{args.model}.json" if args.model
+                  else Path(args.model_file))
+    name, model = _load_model(model_path)
+    report = _score(name, model, ds, getattr(split, args.eval_split), model_path)
 
-    text = metrics.render([report], config.report_format,
-                          metadata={"split": args.eval_split})
+    text = metrics.render([report], config.report_format, metadata={"split": args.eval_split})
     _make_out_dir(config)
     _write_report(config, f"report_{name}_{args.eval_split}", text)
     print(text, end="")
@@ -386,9 +385,11 @@ def cmd_compare(config: RunConfig, args) -> int:
                   for name in MODEL_NAMES}
 
     reports = []
-    for name in MODEL_NAMES:
-        model_path = _train_and_save(name, ds, split, config)[0]
-        reports.append(_evaluate(model_path, ds, getattr(split, eval_split[name]))[1])
+    for name in MODEL_NAMES:  # load(doc): evaluate's checks and scorer, no file read back
+        doc, written = _train_and_save(name, ds, split.train, config)
+        reports.append(_score(name, MODELS[name].load(doc), ds,
+                              getattr(split, eval_split[name]), written[0]))
+        del doc  # hold one model document at a time
 
     metadata = {
         "securities_code": config.securities_code,
@@ -447,9 +448,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[common], help="score a saved model")
-    p.add_argument("--model", choices=MODEL_NAMES,
-                   help="model trained into <out>/model_<name>.json")
-    p.add_argument("--model-file", help="explicit model JSON path")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--model", choices=MODEL_NAMES,
+                       help="model trained into <out>/model_<name>.json")
+    which.add_argument("--model-file", help="explicit model JSON path")
     p.add_argument("--eval-split", choices=["train", "validation", "test"],
                    default="validation")
     p.set_defaults(func=cmd_evaluate)
@@ -466,8 +468,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "evaluate" and not (args.model or args.model_file):
-            parser.error("evaluate needs --model or --model-file")
         config = _merge_config(args)
         return args.func(config, args)
     except SystemExit as exc:

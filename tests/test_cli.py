@@ -404,6 +404,40 @@ def test_compare_matches_individual_train_and_evaluate(workspace, tmp_path):
         assert solo["models"] == [m for m in combined["models"] if m["model"] == label]
 
 
+def test_compare_scores_without_reading_its_model_files(workspace, tmp_path, monkeypatch):
+    def read_back(path):
+        raise AssertionError(f"compare read {path} back")
+
+    monkeypatch.setattr(cli, "_load_model", read_back)
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--config", str(workspace.config),
+                   "--dataset", str(workspace.dataset),
+                   "--out", str(out), "--format", "json", "--seed", "42"])
+    assert rc == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_COMPARE} == GOLDEN_COMPARE
+
+
+def test_compare_scoring_fault_names_the_model_file(workspace, tmp_path):
+    # Train Volume alternates 1e-150 and 2e-150 (stddev 5e-151) and later rows
+    # hold 1e200, so LR's standardizer scales the scored rows past the float range.
+    lines = workspace.dataset.read_text().splitlines()
+    train = dataset.split_chronological(len(lines) - 1, *cli.DEFAULT_CONFIG["split"]).train
+    for i in range(1, len(lines)):
+        fields = lines[i].split(",")
+        fields[5] = ("2e-150", "1e-150")[i % 2] if i - 1 in train else "1e200"
+        lines[i] = ",".join(fields)
+    data = tmp_path / "dataset.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc, err = _run_quietly(["compare", "--config", str(workspace.config),
+                            "--dataset", str(data), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: model file {out / 'model_lr.json'}: "
+                          "standardizer with stddevs ") and err.count("\n") == 1
+    assert err.endswith(" scales the features past the float range\n")
+
+
 def test_compare_writes_the_history_files_train_writes(workspace, tmp_path):
     common = ["--config", str(workspace.config), "--dataset", str(workspace.dataset)]
     assert cli.main(["compare", "--out", str(tmp_path / "cmp")] + common) == 0
@@ -424,6 +458,8 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["bogus"]) == cli.EXIT_USAGE
     assert cli.main(["train"]) == cli.EXIT_USAGE  # --model is required
     assert cli.main(["evaluate"]) == cli.EXIT_USAGE  # needs --model or --model-file
+    assert cli.main(["evaluate", "--model", "rf",  # not both
+                     "--model-file", "model_lr.json"]) == cli.EXIT_USAGE
     assert cli.main(["prepare", "--split", "0.7"]) == cli.EXIT_USAGE
     capsys.readouterr()
 
