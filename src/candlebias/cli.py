@@ -7,9 +7,11 @@ Subcommands
     compare   train all four models and emit one combined report, scoring each
               fitted document as evaluate scores a file, without reading it back
 
-Exit statuses: 0 success, 1 usage error, 2 data error, 3 training error.
-Every command is deterministic given (inputs, config, master seed); per-model
-seeds fan out from the master seed through seeding.mix64.
+Exit statuses: 0 success, 1 usage error, 2 data error, 3 training error. A
+library warning (an undefined F1 or OOB error) is one "warning: ..." line on
+stderr, without a source location, and leaves the status as it is. Every
+command is deterministic given (inputs, config, master seed); per-model seeds
+fan out from the master seed through seeding.mix64.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -464,7 +467,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():  # puts the previous showwarning back on return
+        warnings.showwarning = _warning_line
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -26,7 +26,8 @@ from .seeding import mix64
 
 DEFAULT_N_ESTIMATORS = 250
 _FEATURE_STREAM = 1  # stream index for per-node feature sampling, vs 0 for bootstrap
-_BATCH_ENTRIES = 4096  # (tree, row) entries grown together; bounds the grower's arrays
+_BATCH_ENTRIES = 8192  # (tree, row) entries grown together; bounds the grower's arrays
+_TABLE_ROWS = 1023  # entropy table rows n; a level with a larger node computes entropies
 
 
 @dataclass
@@ -94,11 +95,76 @@ def _entropy(positives, n):
     return np.where((p > 0.0) & (q > 0.0), h, 0.0)
 
 
-def _best_cuts(values, weight, positive, ids, sizes, candidates=None):
+def _entropy_table(n_rows: int) -> np.ndarray:
+    """_entropy(k, n) for n <= min(n_rows, _TABLE_ROWS) and k <= n / 2, at (n + 1)**2 // 4 + k.
+
+    Row n holds k = 0..n // 2; H(k, n) == H(n - k, n) gives the other half.
+    It is filled 16 rows at a time, so filling it holds little beyond it.
+    """
+    top = min(n_rows, _TABLE_ROWS)
+    table = np.empty((top + 2) ** 2 // 4)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 in row 0
+        for low in range(0, top + 1, 16):
+            n = np.arange(low, min(low + 16, top + 1))
+            n = np.repeat(n, n // 2 + 1)
+            start = (low + 1) ** 2 // 4
+            k = np.arange(start, start + n.size) - (n + 1) ** 2 // 4
+            table[start:start + n.size] = _entropy(k, n)
+    return table
+
+
+def _entropies(positives, n, table):
+    """_entropy(positives, n) of integer counts, read from table unless it is None."""
+    if table is None:
+        return _entropy(positives, n)
+    at = np.minimum(positives, n - positives)  # H(k, n) == H(n - k, n)
+    at += (n + 1) ** 2 >> 2
+    return np.take(table, at)
+
+
+def _gains(weight, positive, ids, starts, seg, table):
+    """H - (n_l/n) H_l - (n_r/n) H_r of the cut after each entry; see :func:`_best_cuts`.
+
+    weight and positive hold integer counts. Entropies are read from table
+    when its rows reach the largest segment. Rows of ids are scored in blocks
+    of about _BATCH_ENTRIES entries, reusing buffers in place, so a large
+    level holds few arrays of its size at once. Gathers use np.take, which
+    is several times faster than indexing with an array here.
+    """
+    n_seg = np.add.reduceat(np.take(weight, ids[0]), starts, dtype=weight.dtype)  # one dtype
+    pos_seg = np.add.reduceat(np.take(positive, ids[0]), starts, dtype=positive.dtype)
+    if table is not None and (int(n_seg.max()) + 2) ** 2 // 4 > len(table):  # lacks that row
+        table = None  # squared as a Python int: in int32 it wraps from 46,339 rows
+    n, pos = np.take(n_seg, seg), np.take(pos_seg, seg)
+    n_before = np.take(np.cumsum(n_seg, dtype=n_seg.dtype) - n_seg, seg)
+    pos_before = np.take(np.cumsum(pos_seg, dtype=pos_seg.dtype) - pos_seg, seg)
+    h = np.take(_entropies(pos_seg, n_seg, table), seg)
+    gain = np.empty(ids.shape)
+    step = max(1, _BATCH_ENTRIES // ids.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # n_r is 0 after a last entry
+        for low in range(0, len(ids), step):
+            block, g = ids[low:low + step], gain[low:low + step]
+            n_l, pos_l = np.take(weight, block), np.take(positive, block)
+            np.cumsum(n_l, axis=1, out=n_l)  # through each entry; below, within its segment
+            np.cumsum(pos_l, axis=1, out=pos_l)
+            n_l -= n_before
+            pos_l -= pos_before
+            share = n_l / n
+            np.multiply(_entropies(pos_l, n_l, table), share, out=g)
+            np.subtract(h, g, out=g)
+            n_r = np.subtract(n, n_l, out=n_l)
+            pos_r = np.subtract(pos, pos_l, out=pos_l)
+            h_r = _entropies(pos_r, n_r, table)
+            h_r *= np.divide(n_r, n, out=share)
+            g -= h_r
+    return gain
+
+
+def _best_cuts(columns, rows, weight, positive, ids, sizes, candidates=None, table=None):
     """The best cut of each segment of presorted entries: (feature, threshold, gain).
 
     Entry e has row count weight[e], count of class 1 positive[e] and
-    feature f value values[f * len(weight) + e]. Row f of ids lists entries
+    feature f value columns[f, rows[e]]. Row f of ids lists entries
     in segments of sizes[s] entries each, ascending by feature f within a
     segment. The cut after an entry sends that entry and those before it in
     its segment left. Its gain is H - (n_l/n) H_l - (n_r/n) H_r, except that
@@ -108,26 +174,16 @@ def _best_cuts(values, weight, positive, ids, sizes, candidates=None):
     of the values either side of that cut. A gain that is not positive means
     no cut. The midpoint is taken as halves, which cannot overflow; where
     it rounds up to the value right of the cut, the value left of it is used.
+    Counts are integers; entropies are read from table when it is given.
     """
     n_features, n_open = ids.shape
     starts = np.cumsum(sizes) - sizes
     last = starts + sizes - 1
-    seg = np.repeat(np.arange(len(sizes)), sizes)
-    n_l = np.cumsum(weight[ids], axis=1)    # through each entry; below, within its segment
-    pos_l = np.cumsum(positive[ids], axis=1)
-    n_before = n_l[0, starts] - weight[ids[0, starts]]
-    pos_before = pos_l[0, starts] - positive[ids[0, starts]]
-    n_seg = n_l[0, last] - n_before
-    pos_seg = pos_l[0, last] - pos_before
-    n_l -= n_before[seg]
-    pos_l -= pos_before[seg]
-    n = n_seg[seg]
-    with np.errstate(divide="ignore", invalid="ignore"):  # n_r is 0 after a last entry
-        gain = _entropy(pos_seg, n_seg)[seg] - (n_l / n) * _entropy(pos_l, n_l)
-        n_r = np.subtract(n, n_l, out=n_l)                  # in place: saves two arrays
-        pos_r = np.subtract(pos_seg[seg], pos_l, out=pos_l)
-        gain -= (n_r / n) * _entropy(pos_r, n_r)
-    xs = values[ids + np.arange(n_features)[:, None] * len(weight)]
+    seg = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    gain = _gains(weight, positive, ids, starts, seg, table)
+    at = np.take(rows, ids)
+    at += (np.arange(n_features, dtype=at.dtype) * columns.shape[1])[:, None]
+    xs = np.take(columns, at)
     gain[:, :-1][xs[:, :-1] == xs[:, 1:]] = 0.0
     gain[:, last] = 0.0
     seg_gain = np.maximum.reduceat(gain, starts, axis=1)
@@ -136,7 +192,7 @@ def _best_cuts(values, weight, positive, ids, sizes, candidates=None):
     feature = np.argmax(seg_gain, axis=0)
     best = seg_gain[feature, np.arange(len(sizes))]
     cols = np.arange(n_open)
-    at_best = gain.ravel()[feature[seg] * n_open + cols] == best[seg]
+    at_best = np.take(gain, np.take(feature, seg) * n_open + cols) == np.take(best, seg)
     cut = np.minimum.reduceat(np.where(at_best, cols, n_open), starts)
     lo, hi = xs[feature, cut], xs[feature, cut + (best > 0.0)]
     threshold = lo * 0.5 + hi * 0.5
@@ -160,7 +216,8 @@ def best_split(X: np.ndarray, y: np.ndarray, candidate_features=None):
     if candidate_features is not None:
         candidates = np.zeros((X.shape[1], 1), dtype=bool)
         candidates[np.asarray(candidate_features, dtype=np.intp)] = True
-    feature, threshold, gain = _best_cuts(X.T.ravel(), np.ones(len(y)), y,
+    feature, threshold, gain = _best_cuts(X.T, np.arange(len(y)), np.ones(len(y), np.int32),
+                                          y.astype(np.int32),
                                           np.argsort(X, axis=0, kind="stable").T, [len(y)],
                                           candidates)
     if gain[0] <= 0.0:
@@ -174,35 +231,39 @@ def _searched(n, positives, depth: int, params: TreeParams):
             & (depth < params.max_depth))
 
 
-def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
+def _grow(X, y, counts, params: TreeParams, samplers, by_value, table) -> list:
     """One tree per row of counts, grown level by level; see :func:`fit_tree`.
 
     counts[t, r] is how often row r is in tree t's sample, and a (tree, row)
-    pair with a positive count is an entry. Each feature's entries are sorted
-    once, by (tree, value), so that every open node's entries form one
-    segment. A level scores all open nodes of all trees in one
-    :func:`_best_cuts` call, then moves the entries of each split node into
-    the segments of those children that are searched next, by a stable sort
-    on the child index. A tree with a sampler draws candidate features for the
-    nodes it searches in breadth-first order. Nodes are numbered breadth
-    first, the order :class:`Tree` keeps.
+    pair with a positive count is an entry. by_value[f] lists the rows
+    ascending by feature f (a stable argsort), and table is
+    ``_entropy_table(len(y))`` or None; a fit makes both once for all its batches.
+    Each feature's entries are sorted once, by (tree, value), so that every
+    open node's entries form one segment. A level scores all open nodes of
+    all trees in one :func:`_best_cuts` call, then moves the entries of each
+    split node into the segments of those children that are searched next,
+    by a stable sort on the child index. A tree with a sampler draws
+    candidate features for the nodes it searches in breadth-first order.
+    Nodes are numbered breadth first, the order :class:`Tree` keeps.
     """
-    n_features = X.shape[1]
-    tree_of, row_of = np.nonzero(counts)
+    n_features, values = X.shape[1], np.ascontiguousarray(X.T)  # feature f of row r at [f, r]
+    tree_of, row_of = (a.astype(np.int32) for a in np.nonzero(counts))  # int32: half the bytes
     n_entries = len(tree_of)
-    weight = counts[tree_of, row_of].astype(float)  # small integers: float sums are exact
-    positive = weight * y[row_of]
-    values = X[row_of].T.ravel()                     # feature f of entry e at f * n_entries + e
-    entry = np.full(counts.shape, -1, dtype=np.intp)
+    weight = counts[tree_of, row_of].astype(np.int32)
+    positive = weight * y[row_of].astype(np.int32)
+    entry = np.full(counts.shape, -1, dtype=np.int32)
     entry[tree_of, row_of] = np.arange(n_entries)
-    ids = entry[:, np.argsort(X, axis=0, kind="stable").T].swapaxes(0, 1)
-    ids = ids[ids >= 0].reshape(n_features, n_entries)  # by (tree, value) per feature
+    ids = np.empty((n_features, n_entries), dtype=np.int32)  # by (tree, value) per feature
+    for f, rows in enumerate(by_value):
+        in_order = entry[:, rows]
+        ids[f] = in_order[in_order >= 0]
     draw = samplers is not None and params.max_features < n_features
 
     tree = np.arange(len(counts))
     n = np.bincount(tree_of, weight, minlength=len(counts))
     pos = np.bincount(tree_of, positive, minlength=len(counts))
     sizes = np.bincount(tree_of, minlength=len(counts))
+    del entry, in_order, tree_of
     searched = _searched(n, pos, 0, params)
     ids = ids[:, np.repeat(searched, sizes)]
     sizes = sizes[searched]
@@ -218,7 +279,8 @@ def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
             for s, t in enumerate(tree[nodes]):
                 candidates[samplers[t].choice(n_features, size=params.max_features,
                                               replace=False), s] = True
-        f, thr, gain = _best_cuts(values, weight, positive, ids, sizes, candidates)
+        f, thr, gain = _best_cuts(values, row_of, weight, positive, ids, sizes, candidates,
+                                  table)
         split = gain > 0.0
         parents = nodes[split]
         children = first + len(tree) + 2 * np.arange(parents.size)  # left ones; right is +1
@@ -226,10 +288,11 @@ def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
         first += len(tree)
 
         # the children: 2s is the left and 2s + 1 the right one of open node s
-        seg = np.repeat(np.arange(nodes.size), sizes)
-        child = 2 * seg + (values[ids + (f * n_entries)[seg]] > thr[seg])
-        child_sizes, n, pos = (np.bincount(child[0], w, minlength=2 * nodes.size)
-                               for w in (None, weight[ids[0]], positive[ids[0]]))
+        seg = np.repeat(np.arange(nodes.size, dtype=np.int32), sizes)
+        flat = np.take(f, seg) * len(X) + np.take(row_of, ids[0])  # row 0 has each entry once
+        child = 2 * seg + (np.take(values, flat) > np.take(thr, seg))
+        child_sizes, n, pos = (np.bincount(child, w, minlength=2 * nodes.size)
+                               for w in (None, np.take(weight, ids[0]), np.take(positive, ids[0])))
         made = np.repeat(split, 2)
         tree, n, pos = np.repeat(tree[parents], 2), n[made], pos[made]
         depth += 1
@@ -240,8 +303,12 @@ def _grow(X, y, counts, params: TreeParams, samplers=None) -> list:
         kept = np.zeros(2 * nodes.size, dtype=bool)
         kept[made] = searched
         sizes = child_sizes[kept]
-        order = np.argsort(np.where(kept[child], child, 2 * nodes.size), axis=1, kind="stable")
-        ids = np.take_along_axis(ids, order[:, :sizes.sum()], axis=1)
+        key = np.empty(n_entries, np.int32)
+        key[ids[0]] = np.where(kept[child], child, 2 * nodes.size)
+        order = np.argsort(np.take(key, ids), axis=1, kind="stable")[:, :sizes.sum()]
+        order += (np.arange(n_features) * ids.shape[1])[:, None]
+        ids = np.take(ids, order)
+        del order, seg, child, flat  # not held through the next level
 
     tree, n, pos = (np.concatenate(c) for c in zip(*levels))
     feature = np.full(len(tree), -1, dtype=np.intp)
@@ -279,7 +346,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
     if len(y) < 1:
         raise ValueError("tree training needs at least 1 row")
     samplers = None if feature_sampler is None else [feature_sampler]
-    return _grow(X, y, np.ones((1, len(y)), dtype=np.intp), params, samplers)[0]
+    return _grow(X, y, np.ones((1, len(y)), dtype=np.intp), params, samplers,
+                 np.argsort(X.T, axis=1, kind="stable"), None)[0]  # too few reads for a table
 
 
 def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -357,8 +425,10 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     forest = ForestModel(trees=[], params=params, n_estimators=n_estimators, seed=seed)
     prob_sum = np.zeros(n)
     tree_count = np.zeros(n, dtype=np.int64)
+    by_value, table = np.argsort(X.T, axis=1, kind="stable"), _entropy_table(n)
     for counts, samplers in _batches(n, n_estimators, seed, bootstrap_fn):
-        for tree, in_bag in zip(_grow(X, y, counts, params, samplers), counts):
+        for tree, in_bag in zip(_grow(X, y, counts, params, samplers, by_value, table),
+                                counts):
             forest.trees.append(tree)
             oob = in_bag == 0
             prob_sum[oob] += tree_predict_proba(tree, X[oob])

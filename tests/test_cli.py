@@ -321,6 +321,23 @@ def test_evaluate_model_file_flag(trained, tmp_path):
     assert doc["models"][0]["model"] == "DT"
 
 
+@pytest.mark.parametrize("command", [["evaluate", "--model", "lr"], ["compare"]])
+def test_library_warning_is_one_line_without_a_source_location(command, tmp_path,
+                                                               jpx_mini_csv, capsys):
+    # the mini fixture's one validation row is down, so F1 is undefined
+    out = tmp_path / "out"
+    config = tmp_path / "fnn.json"
+    config.write_text(json.dumps({"fnn": {"batch_size": 2}}))  # below the 6 train rows
+    assert cli.main(["prepare", "--data", str(jpx_mini_csv), "--out", str(out)]) == 0
+    assert cli.main(["train", "--model", "lr", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main([*command, "--config", str(config), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: F1 undefined (no positive predictions or labels); reporting 0.0"]
+    assert ".py:" not in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 

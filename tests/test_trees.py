@@ -573,9 +573,10 @@ def test_grower_equals_references_on_small_random_inputs(data):
 
 
 @pytest.mark.parametrize("max_features", [5, 3])
-def test_forest_prefix_does_not_depend_on_batches(max_features):
+def test_forest_prefix_does_not_depend_on_batches(max_features, monkeypatch):
     n, seed = 1000, 17
     X, y = separable_classification(n, seed=seed)
+    monkeypatch.setattr(trees, "_BATCH_ENTRIES", 4096)
     entries = sum(np.count_nonzero(np.bincount(idx, minlength=n))
                   for idx in _bootstraps(n, seed, 40))
     assert entries > 4 * trees._BATCH_ENTRIES  # 40 trees are grown in several batches
@@ -584,6 +585,40 @@ def test_forest_prefix_does_not_depend_on_batches(max_features):
     for k in (1, 7, 23):
         prefix = forest_to_dict(fit_forest(X, y, n_estimators=k, params=params, seed=seed))
         assert json.dumps(prefix["trees"]) == json.dumps(full["trees"][:k])
+
+
+def test_entropy_table_reads_the_bits_of_entropy():
+    top = trees._TABLE_ROWS
+    table = trees._entropy_table(top)
+    assert len(trees._entropy_table(8 * top)) == len(table)  # rows stop at the cap
+    n = np.repeat(np.arange(top + 1, dtype=np.int32), np.arange(top + 1) + 1)
+    k = (np.arange(n.size) - n * (n + 1) // 2).astype(np.int32)  # 0..n: both halves of a row
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at n = 0
+        expected = trees._entropy(k, n)
+    got = trees._entropies(k, n, table)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("rows", [0, 50])
+def test_forest_does_not_depend_on_how_far_the_entropy_table_reaches(rows, monkeypatch):
+    # with 50 rows, levels whose largest node holds more rows compute the
+    # entropies and deeper levels read them; with 0 rows nothing is read
+    X, y = separable_classification(400, seed=21)
+    X = np.round(X, 1)  # ties
+    fit = lambda: json.dumps(forest_to_dict(fit_forest(X, y, 12, TreeParams(30, 2, 3), seed=5)))
+    default = fit()
+    monkeypatch.setattr(trees, "_TABLE_ROWS", rows)
+    assert fit() == default
+
+
+def test_forest_fits_a_node_too_large_for_int32_squares(monkeypatch):
+    # the root holds all 47,000 rows; (47,000 + 2) ** 2 exceeds 2**31, so
+    # checking it against the table's rows must not wrap in the counts' int32
+    X, y = separable_classification(47_000, seed=22)
+    fit = lambda: json.dumps(forest_to_dict(fit_forest(X, y, 1, TreeParams(1, 2, 5), seed=6)))
+    default = fit()
+    monkeypatch.setattr(trees, "_TABLE_ROWS", 0)
+    assert fit() == default
 
 
 def test_fit_tree_grows_a_chain_deeper_than_the_recursion_limit():
