@@ -373,6 +373,9 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     model_path = (config.out_dir / f"model_{args.model}.json" if args.model
                   else Path(args.model_file))
     name, model = _load_model(model_path)
+    if args.model and name != args.model:
+        raise DataError(f"model file {model_path}: holds a {MODELS[name].label} model, "
+                        f"not {MODELS[args.model].label}")
     report = _score(name, model, ds, getattr(split, args.eval_split), model_path)
 
     text = metrics.render([report], config.report_format, metadata={"split": args.eval_split})

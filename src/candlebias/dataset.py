@@ -267,11 +267,12 @@ def write_labeled_csv(ds: LabeledDataset, path) -> None:
 def read_labeled_csv(path) -> LabeledDataset:
     """Read a labeled CSV written by :func:`write_labeled_csv`.
 
-    The seven numeric cells of every non-blank line are parsed in one
-    ``np.loadtxt`` pass, and each line's first cell by ``date.fromisoformat``.
-    A row that does not have eight fields, holds a cell that does not parse or
-    is not finite, or whose date does not come after the date before it raises
-    DataError naming the file and the line, blank lines counted.
+    The non-blank lines are checked and parsed at once, their seven numeric
+    cells in one ``np.loadtxt`` pass. A row without eight fields, with a cell
+    that does not parse or is not finite, or whose date does not come after
+    the one before raises DataError naming the file and the line, blank lines
+    counted: a damaged file is checked again line by line by the same checks,
+    at about one ``loadtxt`` call per line up to the fault.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -291,85 +292,59 @@ def read_labeled_csv(path) -> LabeledDataset:
     if not rows:
         raise DataError(f"{path}: empty labeled dataset")
 
-    # Each check looks only at the rows before the first fault found so far,
-    # so the fault reported is the first one in the file.
-    table, end = _parse_prefix(rows)
-    fault = _row_fault(rows[end]) if end < len(rows) else None
-    features = np.stack([table[name] for name in FEATURE_COLUMNS], axis=1)
-    next_close = table["Next"].copy()
-    non_finite = ~(np.isfinite(features).all(axis=1) & np.isfinite(next_close))
-    if non_finite.any():
-        end = int(non_finite.argmax())
-        fault = f"non-finite value in {rows[end].split(',')[1:7]}"
-    dates = []
     try:
-        for row in rows[:end]:
-            dates.append(datetime.date.fromisoformat(row.partition(",")[0]))
+        columns = _checked(rows)
     except ValueError as exc:
-        end, fault = len(dates), str(exc)
-    days = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(dates))
-    late = np.flatnonzero(days[1:] <= days[:-1])
-    if late.size:
-        end = int(late[0]) + 1
-        fault = f"date {dates[end]} does not come after {dates[end - 1]}"
-    if end < len(rows):
-        line = [i for i, text in enumerate(lines, 1) if text not in _BLANK][end + 1]
-        raise DataError(f"{path}, line {line}: {fault}")
+        previous = None
+        for number, line in enumerate(lines[1:], 2):
+            if line in _BLANK:
+                continue
+            try:
+                previous = _checked([line], previous)[-1][0]
+            except ValueError as fault:  # loadtxt's message also names row 0 of this one row
+                raise DataError(f"{path}, line {number}: "
+                                f"{str(fault).partition(' at row ')[0]}") from fault
+        raise DataError(f"{path}: {exc}") from exc
 
     try:
-        return LabeledDataset(features=features, next_close=next_close,
-                              targets=table["Target"].copy(), dates=tuple(dates))
+        return LabeledDataset(*columns)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _parse(rows) -> np.ndarray:
-    """The seven numeric cells of dataset.csv rows, as records of :data:`_ROW`.
+def _checked(rows, previous: datetime.date | None = None):
+    """Features, next closes, targets and dates of dataset.csv rows.
 
-    Raises ValueError unless every row has eight fields whose numeric cells
-    parse. A row holding a non-ASCII character or one of the separators
-    \\x1c-\\x1f is rejected first: ``np.loadtxt`` reads the separators as
-    whitespace and some non-ASCII characters as integer digits, where
-    ``float`` and ``int`` refuse them.
+    Raises ValueError saying why unless every row has eight fields, holds only
+    ASCII characters other than the separators \\x1c-\\x1f, has seven numeric
+    cells that parse and are finite, and has a date that comes after the one
+    before it, ``previous`` for the first row when given. The characters are
+    checked before the parse: ``np.loadtxt`` reads the separators as whitespace
+    and some non-ASCII characters as integer digits, where ``float`` and
+    ``int`` refuse them.
     """
     text = "".join(rows)
-    if text.count(",") != (len(LABELED_COLUMNS) - 1) * len(rows):
-        raise ValueError(f"a row does not have {len(LABELED_COLUMNS)} fields")
+    width = len(LABELED_COLUMNS)
+    if text.count(",") != (width - 1) * len(rows):
+        fields = next(n for n in (row.count(",") + 1 for row in rows) if n != width)
+        many = "not enough" if fields < width else "too many"
+        raise ValueError(f"{many} values: {fields} fields, expected {width}")
     if not text.isascii() or any(sep in text for sep in _SEPARATORS):
         bad = next(c for c in text if not c.isascii() or c in _SEPARATORS)
         raise ValueError(f"character {bad!r} is not allowed")
-    return np.loadtxt(rows, dtype=_ROW, delimiter=",", usecols=range(1, 8), comments=None,
-                      ndmin=1)
-
-
-def _parse_prefix(rows) -> tuple[np.ndarray, int]:
-    """Records of the rows before the first one :func:`_parse` rejects, and its index.
-
-    The index is ``len(rows)`` when every row parses. Otherwise halves of the
-    rows are parsed in turn, so finding the row costs about one more pass.
-    """
-    try:
-        return _parse(rows), len(rows)
-    except ValueError:
-        pass
-    parsed, lo, hi = [np.empty(0, _ROW)], 0, len(rows)  # rows[lo:hi] holds the first fault
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            parsed.append(_parse(rows[lo:mid]))
-            lo = mid
-        except ValueError:
-            hi = mid
-    return np.concatenate(parsed), lo
-
-
-def _row_fault(row: str) -> str:
-    """Why :func:`_parse` rejects one row."""
-    fields = row.count(",") + 1
-    if fields != len(LABELED_COLUMNS):
-        many = "not enough" if fields < len(LABELED_COLUMNS) else "too many"
-        return f"{many} values: {fields} fields, expected {len(LABELED_COLUMNS)}"
-    try:
-        _parse([row])
-    except ValueError as exc:  # loadtxt's message also names row 0 of this one-row parse
-        return str(exc).partition(" at row ")[0]
+    del text  # as large as the file: not kept through the parse
+    table = np.loadtxt(rows, dtype=_ROW, delimiter=",", usecols=range(1, 8), comments=None,
+                       ndmin=1)
+    features = np.stack([table[name] for name in FEATURE_COLUMNS], axis=1)
+    next_close = table["Next"].copy()
+    finite = np.isfinite(features).all(axis=1) & np.isfinite(next_close)
+    if not finite.all():
+        raise ValueError(f"non-finite value in {rows[finite.argmin()].split(',')[1:7]}")
+    dates = [datetime.date.fromisoformat(row.partition(",")[0]) for row in rows]
+    ordered = dates if previous is None else [previous, *dates]
+    days = np.fromiter(map(datetime.date.toordinal, ordered), np.int64, len(ordered))
+    late = np.flatnonzero(days[1:] <= days[:-1])
+    if late.size:
+        i = int(late[0]) + 1
+        raise ValueError(f"date {ordered[i]} does not come after {ordered[i - 1]}")
+    return features, next_close, table["Target"].copy(), tuple(dates)

@@ -61,17 +61,20 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return (cm.tp + cm.tn) / cm.total
 
 
-def f1(cm: ConfusionMatrix) -> float:
+def f1(cm: ConfusionMatrix, model_name: str = "") -> float:
+    """F1 of the positive class; when undefined, 0.0 and a warning naming model_name."""
     denom = 2 * cm.tp + cm.fp + cm.fn
     if denom == 0:
-        warnings.warn("F1 undefined (no positive predictions or labels); reporting 0.0")
+        subject = f" for {model_name}" if model_name else ""
+        warnings.warn(f"F1 undefined{subject} (no positive predictions or labels); "
+                      "reporting 0.0")
         return 0.0
     return 2 * cm.tp / denom
 
 
 def evaluate(model_name: str, y_true, y_pred, loss: float | None = None) -> EvalReport:
     cm = confusion(y_true, y_pred)
-    return EvalReport(model_name, accuracy(cm), f1(cm), cm, loss)
+    return EvalReport(model_name, accuracy(cm), f1(cm, model_name), cm, loss)
 
 
 def _round2(x: float) -> str:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,17 @@ def test_evaluate_model_file_flag(trained, tmp_path):
     assert doc["models"][0]["model"] == "DT"
 
 
+def test_evaluate_model_flag_refuses_a_file_holding_another_model(trained, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(trained.out / "model_dt.json", out / "model_lr.json")
+    rc, err = _run_quietly(["evaluate", "--model", "lr", "--dataset", str(trained.dataset),
+                            "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert err == f"data error: model file {out / 'model_lr.json'}: holds a DT model, not LR\n"
+    assert sorted(p.name for p in out.iterdir()) == ["model_lr.json"]
+
+
 @pytest.mark.parametrize("command", [["evaluate", "--model", "lr"], ["compare"]])
 def test_library_warning_is_one_line_without_a_source_location(command, tmp_path,
                                                                jpx_mini_csv, capsys):
@@ -334,7 +346,7 @@ def test_library_warning_is_one_line_without_a_source_location(command, tmp_path
     assert cli.main([*command, "--config", str(config), "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert err.splitlines() == [
-        "warning: F1 undefined (no positive predictions or labels); reporting 0.0"]
+        "warning: F1 undefined for LR (no positive predictions or labels); reporting 0.0"]
     assert ".py:" not in err
 
 

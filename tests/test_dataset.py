@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candlebias import cli
+from candlebias import cli, dataset
 from candlebias.dataset import (
     LABELED_COLUMNS,
     IngestStats,
@@ -586,6 +586,52 @@ def test_read_labeled_csv_refuses_what_the_per_row_reader_refused(tmp_path_facto
             assert _line_named(got, path) == min(lines), (got, expected)
         else:
             assert got == expected
+
+
+# Damage to a long file, as (line index, column, cell); index 0 is the header.
+# The faults lie near the end, so the line-by-line pass checks thousands of
+# lines before it names one.
+_LONG_FILE_EDITS = {
+    "unparseable_cell_on_the_last_row": (-1, 4, "abc"),
+    "date_out_of_order_near_the_end": (-3, 0, "2020-01-01"),
+    "first_row_dated_year_one": (1, 0, "0001-01-01"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_FILE_EDITS))
+def test_read_labeled_csv_on_a_long_file_names_the_reference_line(tmp_path, case):
+    index, column, cell = _LONG_FILE_EDITS[case]
+    path = tmp_path / "labeled.csv"
+    write_labeled_csv(_dataset(3000), path)
+    lines = path.read_text().splitlines()
+    fields = lines[index].split(",")
+    fields[column] = cell
+    lines[index] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    expected = _read_or_error(_reference_read_labeled_csv, path)
+    got = _read_or_error(read_labeled_csv, path)
+    if isinstance(expected, LabeledDataset):
+        assert case == "first_row_dated_year_one"
+        assert isinstance(got, LabeledDataset) and _same_dataset(got, expected)
+    else:
+        line = _line_named(expected, path)
+        assert line is not None and _line_named(got, path) == line, (got, expected)
+
+
+def test_read_labeled_csv_names_the_file_when_no_single_line_fails(tmp_path, monkeypatch):
+    path = tmp_path / "labeled.csv"
+    write_labeled_csv(_dataset(20), path)
+    checked = dataset._checked
+
+    def refuse_many(rows, previous=None):
+        if len(rows) > 1:
+            raise ValueError("refused as a whole")
+        return checked(rows, previous)
+
+    monkeypatch.setattr(dataset, "_checked", refuse_many)
+    with pytest.raises(DataError) as error:
+        read_labeled_csv(path)
+    assert str(error.value) == f"{path}: refused as a whole"
 
 
 @pytest.mark.parametrize("column, cell", [(2, "\x1f2"), (4, "4\x1c"), (7, "1\u01fe")])
