@@ -252,16 +252,21 @@ def apply_standardizer(s: Standardizer, features: np.ndarray) -> np.ndarray:
 
 
 def write_labeled_csv(ds: LabeledDataset, path) -> None:
-    """Write the labeled dataset as Date,Open,High,Low,Close,Volume,Next,Target."""
+    """Write the labeled dataset as Date,Open,High,Low,Close,Volume,Next,Target.
+
+    Lines end in CRLF and floats are written as repr, the bytes csv.writer
+    writes; no field needs quoting.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABELED_COLUMNS)
+        fh.write(",".join(LABELED_COLUMNS) + "\r\n")
         for start in range(0, len(ds), _WRITE_BLOCK):
             rows = slice(start, start + _WRITE_BLOCK)
             close, volume, open_, high, low = ds.features[rows].T.tolist()
-            writer.writerows(zip([date.isoformat() for date in ds.dates[rows]], open_, high,
-                                 low, close, volume, ds.next_close[rows].tolist(),
-                                 ds.targets[rows].tolist()))
+            fh.write("".join(
+                f"{d.isoformat()},{o!r},{h!r},{lo!r},{c!r},{v!r},{nx!r},{t}\r\n"
+                for d, o, h, lo, c, v, nx, t in zip(ds.dates[rows], open_, high, low, close,
+                                                   volume, ds.next_close[rows].tolist(),
+                                                   ds.targets[rows].tolist())))
 
 
 def read_labeled_csv(path) -> LabeledDataset:

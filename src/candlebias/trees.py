@@ -10,11 +10,16 @@ Fitting grows trees one depth level at a time: a forest grows a batch of trees
 together, each on its bootstrap given as a count per row, and a plain tree is
 the one-tree batch in which every row counts once (see _grow). Nodes keep the
 order they grow in, breadth first, as does loading a model file. Prediction
-partitions the rows that reach each split, ties going left. Nothing recurses.
+has two scorers behind one generator (_tree_probas). Trees of at most 64
+leaves, the bits of one uint64 mask word, are scored together by bitvectors
+over each row's rank in each feature column (_bitvector_probas); a larger
+tree partitions the rows that reach each split (_descend). Both send ties
+left and give the same leaf. Nothing recurses.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -350,10 +355,12 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
                  np.argsort(X.T, axis=1, kind="stable"), None)[0]  # too few reads for a table
 
 
-def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf probability of class 1 per row. Each split partitions the rows that reach it, ties
-    going left; pending (node, rows) pairs are popped, so live row sets are disjoint."""
-    columns = np.asarray(X, dtype=float).T
+def _descend(tree: Tree, columns: np.ndarray) -> np.ndarray:
+    """Leaf probability per row of columns, feature f of row r at [f, r], node by node.
+
+    Each split partitions the rows that reach it, ties going left; pending
+    (node, rows) pairs are popped, so live row sets are disjoint.
+    """
     feature, threshold, left, right, p_up, _ = tree
     proba, pending = np.empty(columns.shape[1]), [(0, np.arange(columns.shape[1]))]
     while pending:
@@ -364,6 +371,110 @@ def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
             goes_left = columns[feature[node]][rows] <= threshold[node]
             pending += ((left[node], rows[goes_left]), (right[node], rows[~goes_left]))
     return proba
+
+
+def _bitvector_probas(trees: list, columns: np.ndarray):
+    """Leaf probabilities of trees of at most 64 leaves per row of columns, in tree order.
+
+    Leaves are numbered left to right within each tree, and a split's mask
+    has the bits of the leaves of its left subtree cleared. A row's leaf is
+    the lowest set bit of the AND of the masks of the splits it goes right
+    at (QuickScorer, Lucchese et al. 2015). With a row's rank r in its column
+    (a stable argsort) and q the count of column values <= threshold, x >
+    threshold is exactly r >= q, so ties go left and NaN goes right, as in
+    :func:`_descend`; a NaN threshold has q = 0. Sorted by q, the splits of
+    one tree on one feature that a row goes right at are a prefix, so a table
+    of prefix ANDs over ranks, gathered by rank, stands for them. Leaf
+    numbers and masks are set up for all trees together, one depth level at
+    a time; rows are scored for as many trees at once as keep about
+    _BATCH_ENTRIES (tree, row) pairs.
+    """
+    if not trees:
+        return
+    n_features, n_rows = columns.shape
+    feature, threshold, left, right, p_up = (np.concatenate(c)
+                                             for c in zip(*(tree[:5] for tree in trees)))
+    sizes = np.array([len(tree.feature) for tree in trees])
+    roots = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    left += roots[tree_of]  # node numbers over all trees; leaves' are not read
+    right += roots[tree_of]
+    levels, level = [], roots
+    while level.size:
+        level = level[feature[level] >= 0]  # the splits of one depth
+        levels.append(level)
+        level = np.concatenate((left[level], right[level]))
+    n_leaves = np.ones(len(feature), dtype=np.int64)
+    for s in reversed(levels):
+        n_leaves[s] = n_leaves[left[s]] + n_leaves[right[s]]
+    first = np.zeros(len(feature), dtype=np.int64)  # number of the node's leftmost leaf
+    for s in levels:
+        first[left[s]] = first[s]
+        first[right[s]] = first[s] + n_leaves[left[s]]
+    ones = np.uint64(2**64 - 1)
+    mask = np.full(len(feature), ones)
+    splits = np.flatnonzero(feature >= 0)
+    width = n_leaves[left[splits]].astype(np.uint64)  # at most 63: the right subtree has one
+    mask[splits] = ~(((np.uint64(1) << width) - np.uint64(1)) << first[splits].astype(np.uint64))
+    leaf_p = np.zeros((len(trees), 64))
+    leaves = np.flatnonzero(feature < 0)
+    leaf_p[tree_of[leaves], first[leaves]] = p_up[leaves]
+
+    order = np.argsort(columns, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n_rows), axis=1)
+    tables = []  # per feature with splits: ranks, prefix ANDs per tree, rows each spans
+    for f in range(n_features):
+        s = splits[feature[splits] == f]
+        if not s.size:
+            continue
+        q = np.searchsorted(np.take(columns[f], order[f]), threshold[s], side="right")
+        q[np.isnan(threshold[s])] = 0  # x <= NaN is false: every row goes right
+        by = np.lexsort((q, tree_of[s]))  # by tree, then threshold
+        s, q = s[by], q[by]
+        t = tree_of[s]
+        count = np.bincount(t, minlength=len(trees))
+        at = np.arange(1, s.size + 1) - np.repeat(np.cumsum(count) - count, count)
+        ands = np.full((len(trees), count.max() + 1), ones)
+        ands[t, at] = mask[s]
+        np.bitwise_and.accumulate(ands, axis=1, out=ands)
+        bounds = np.full((len(trees), count.max() + 2), n_rows)
+        bounds[:, 0] = 0
+        bounds[t, at] = q
+        tables.append((rank[f], ands, np.diff(bounds, axis=1)))
+
+    step = max(1, _BATCH_ENTRIES // max(n_rows, 1))
+    for low in range(0, len(trees), step):
+        chunk = slice(low, low + step)
+        n_trees = len(leaf_p[chunk])
+        word = np.full((n_trees, n_rows), ones)
+        for r, ands, spans in tables:
+            table = np.repeat(ands[chunk].ravel(), spans[chunk].ravel())
+            word &= np.take(table.reshape(n_trees, n_rows), r, axis=1)
+        word ^= word - np.uint64(1)  # the bits up to and including the lowest set one
+        leaf = np.bitwise_count(word).astype(np.intp)
+        leaf += np.arange(-1, 64 * n_trees - 1, 64)[:, None]  # into leaf_p[chunk], flat
+        yield from np.take(leaf_p[chunk], leaf)
+
+
+def _tree_probas(trees: list, X: np.ndarray, rows=None):
+    """Each tree's leaf probability of class 1, in tree order: per row of X, or per row that
+    rows[t] marks for tree t. A tree of at most 64 leaves, one uint64 word, is scored by
+    bitvectors, all of them together (see _bitvector_probas); a larger one descends."""
+    columns = np.asarray(X, dtype=float).T
+    in_word = [len(tree.feature) <= 2 * 64 - 1 for tree in trees]  # L leaves: 2L - 1 nodes
+    by_word = _bitvector_probas([tree for tree, w in zip(trees, in_word) if w], columns)
+    for t, (tree, w) in enumerate(zip(trees, in_word)):
+        if w:
+            proba = next(by_word)
+            yield proba if rows is None else proba[rows[t]]
+        else:
+            yield _descend(tree, columns if rows is None else columns[:, rows[t]])
+
+
+def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf probability of class 1 per row; x[feature] <= threshold goes left."""
+    return next(_tree_probas([tree], X))
 
 
 def bootstrap_sample(n: int, seed: int) -> np.ndarray:
@@ -411,7 +522,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     bootstrap excludes them: each row is scored by the mean of those trees'
     leaf probabilities, summed in tree order (ties classify as 1), and rows
     in every bootstrap are left out of the denominator. It is None, with a
-    warning, when no row is out of bag.
+    warning, when no row is out of bag. One scoring pass after the last batch
+    gives every tree's out-of-bag rows their probabilities.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -423,16 +535,16 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     if n < 2:
         raise ValueError("forest training needs at least 2 rows")
     forest = ForestModel(trees=[], params=params, n_estimators=n_estimators, seed=seed)
-    prob_sum = np.zeros(n)
-    tree_count = np.zeros(n, dtype=np.int64)
     by_value, table = np.argsort(X.T, axis=1, kind="stable"), _entropy_table(n)
+    oob = []
     for counts, samplers in _batches(n, n_estimators, seed, bootstrap_fn):
-        for tree, in_bag in zip(_grow(X, y, counts, params, samplers, by_value, table),
-                                counts):
-            forest.trees.append(tree)
-            oob = in_bag == 0
-            prob_sum[oob] += tree_predict_proba(tree, X[oob])
-            tree_count[oob] += 1
+        forest.trees += _grow(X, y, counts, params, samplers, by_value, table)
+        oob.append(counts == 0)
+    oob = np.concatenate(oob)
+    prob_sum = np.zeros(n)
+    for tree_oob, proba in zip(oob, _tree_probas(forest.trees, X, oob)):
+        prob_sum[tree_oob] += proba
+    tree_count = np.count_nonzero(oob, axis=0)
 
     covered = tree_count > 0
     if covered.any():
@@ -445,8 +557,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
 
 def predict_forest(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Class 1 when the mean leaf probability over trees is at least 0.5."""
-    X = np.asarray(X, dtype=float)
-    total = sum(tree_predict_proba(tree, X) for tree in forest.trees)  # in tree order, as np.mean
+    total = sum(_tree_probas(forest.trees, X))  # in tree order, as np.mean
     return (total / len(forest.trees) >= 0.5).astype(np.int64)
 
 
@@ -461,20 +572,34 @@ def node_to_dict(tree: Tree) -> dict:
     return nodes[0]
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def node_from_dict(d: dict) -> Tree:
-    """A tree from its nested JSON form, numbered as grown; split features are ints in range."""
+    """A tree from its nested JSON form, numbered as grown.
+
+    Split features are ints in range and thresholds finite numbers; leaf p_up
+    is a number in [0, 1] and n an int. A string or bool in their place is refused.
+    """
     nodes, queue = [], [d]
     for node in queue:  # first in, first out: each split queues its left, then right child
         if "p_up" in node:
-            if not 0.0 <= float(node["p_up"]) <= 1.0:
-                raise ValueError(f"leaf p_up must be in [0, 1], got {node['p_up']!r}")
-            nodes.append([-1, 0.0, -1, -1, float(node["p_up"]), int(node["n"])])
+            p_up, n = node["p_up"], node["n"]
+            if not (_is_number(p_up) and 0.0 <= p_up <= 1.0):
+                raise ValueError(f"leaf p_up must be a number in [0, 1], got {p_up!r}")
+            if type(n) is not int:
+                raise ValueError(f"leaf n must be an integer, got {n!r}")
+            nodes.append([-1, 0.0, -1, -1, float(p_up), n])
             continue
-        feature = node["feature"]
+        feature, threshold = node["feature"], node["threshold"]
         if type(feature) is not int or not 0 <= feature < N_FEATURES:
             raise ValueError(f"split feature must be an integer in 0..{N_FEATURES - 1}, "
                              f"got {feature!r}")
-        nodes.append([feature, float(node["threshold"]), len(queue), len(queue) + 1, 0.0, 0])
+        if not (_is_number(threshold) and abs(threshold) <= sys.float_info.max):
+            raise ValueError(f"split threshold must be a finite number, got {threshold!r}")
+        nodes.append([feature, float(threshold), len(queue), len(queue) + 1, 0.0, 0])
         queue += (node["left"], node["right"])
     return _tree(nodes)
 

@@ -598,6 +598,14 @@ BAD_INPUT_FILES = {
     "rf_leaf_infinity": ("model", lambda ws: _rf_model([_LEAF]).replace("1.0", "Infinity", 1)),
     "dt_threshold_overflows_float": ("model", lambda ws: json.dumps(_split(0)).replace(
         "0.0", "1e400", 1)),
+    "dt_threshold_nan_string": ("model", lambda ws: json.dumps(
+        {**_split(0), "threshold": "nan"})),
+    "dt_threshold_overflowing_string": ("model", lambda ws: json.dumps(
+        {**_split(0), "threshold": "1.5e999"})),
+    "rf_threshold_bool": ("model", lambda ws: _rf_model([{**_split(3), "threshold": True}])),
+    "dt_leaf_p_up_string": ("model", lambda ws: json.dumps(
+        {**_split(1), "left": {"p_up": "0.5", "n": 2}})),
+    "rf_leaf_n_string": ("model", lambda ws: _rf_model([{"p_up": 1.0, "n": "7"}])),
     "raw_not_utf8": ("raw", lambda ws: b"\xff\xfe" + ws.raw.read_bytes()),
     "config_section_not_object": ("config", lambda ws: json.dumps({"lr": 5})),
     "config_split_one_fraction": ("config", lambda ws: json.dumps({"split": [0.7]})),

@@ -283,6 +283,91 @@ def test_tree_predict_proba_matches_scalar_reference():
     assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
+def _random_tree(n_leaves, X, rng):
+    """A tree of n_leaves leaves, made by splitting a random leaf n_leaves - 1 times.
+
+    Each split takes a random feature and one of X's numbers in that column,
+    or the float just below it, as its threshold, so rows tie with
+    thresholds and a constant column sends every row one way; thresholds
+    need not agree along a path. Leaves hold distinct probabilities.
+    """
+    root = {"p_up": 0.0, "n": 1}
+    leaves = [root]
+    for _ in range(n_leaves - 1):
+        leaf = leaves.pop(int(rng.integers(len(leaves))))
+        f = int(rng.integers(X.shape[1]))
+        threshold = float(rng.choice(X[~np.isnan(X[:, f]), f]))
+        if rng.random() < 0.5:
+            threshold = float(np.nextafter(threshold, -np.inf))
+        leaf.clear()
+        leaf.update(feature=f, threshold=threshold, left={"p_up": 0.0, "n": 1},
+                    right={"p_up": 0.0, "n": 1})
+        leaves += [leaf["left"], leaf["right"]]
+    for leaf in leaves:
+        leaf["p_up"] = float(rng.random())
+    tree = node_from_dict(root)
+    assert np.count_nonzero(tree.feature < 0) == n_leaves
+    return tree
+
+
+def _scoring_rows(rng):
+    """Rows with repeated values, a constant column and a NaN, which goes right."""
+    X = np.round(rng.normal(size=(60, 5)), 1)
+    X[:, 3] = 2.5
+    X[7, 1] = np.nan
+    return X
+
+
+@pytest.mark.parametrize("batch_entries", [None, 100])
+def test_scorer_equals_the_per_row_oracle_on_trees_either_side_of_one_word(
+        batch_entries, monkeypatch):
+    # trees of up to 64 leaves are scored by bitvectors, larger ones node by
+    # node; with 100 (tree, row) pairs the bitvector trees go two at a time
+    if batch_entries is not None:
+        monkeypatch.setattr(trees, "_BATCH_ENTRIES", batch_entries)
+    rng = np.random.default_rng(20)
+    X = _scoring_rows(rng)
+    forest = [_random_tree(n, X, rng) for n in (63, 64, 65, 1, 64, 2, 65, 63)]
+    expected = [np.array([predict_tree(tree, x) for x in X]) for tree in forest]
+    got = list(trees._tree_probas(forest, X))
+    assert len(got) == len(forest)
+    for g, e in zip(got, expected):
+        assert g.dtype == np.float64 and np.array_equal(g, e)
+    assert np.array_equal(sum(trees._tree_probas(forest, X)), sum(expected))  # tree order
+    model = ForestModel(trees=forest, params=TreeParams(), n_estimators=len(forest), seed=0)
+    assert np.array_equal(predict_forest(model, X),
+                          (sum(expected) / len(forest) >= 0.5).astype(np.int64))
+    for tree, e in zip(forest, expected):
+        assert np.array_equal(tree_predict_proba(tree, X), e)
+
+    # the OOB pattern: each tree's marked rows only
+    marked = rng.random((len(forest), len(X))) < 0.4
+    for g, e, keep in zip(trees._tree_probas(forest, X, marked), expected, marked):
+        assert np.array_equal(g, e[keep])
+
+
+def test_scorer_sends_every_row_right_at_a_nan_threshold():
+    # a model file cannot hold one, but a Tree made in code can
+    tree = trees._tree([[0, np.nan, 1, 2, 0.0, 0], [-1, 0.0, -1, -1, 0.25, 1],
+                        [-1, 0.0, -1, -1, 0.75, 1]])
+    X = _scoring_rows(np.random.default_rng(22))
+    assert np.array_equal(tree_predict_proba(tree, X), [0.75] * len(X))
+    assert np.array_equal(tree_predict_proba(tree, X), [predict_tree(tree, x) for x in X])
+
+
+def test_scorer_on_a_leaf_and_on_zero_and_one_rows():
+    rng = np.random.default_rng(21)
+    X = _scoring_rows(rng)
+    leaf = node_from_dict({"p_up": 0.7, "n": 10})
+    forest = [leaf, _random_tree(64, X, rng), _random_tree(65, X, rng)]
+    assert np.array_equal(tree_predict_proba(leaf, X), [0.7] * len(X))
+    for rows in (X[:0], X[7:8], X[20:21]):
+        got = list(trees._tree_probas(forest, rows))
+        for tree, g in zip(forest, got, strict=True):
+            assert g.dtype == np.float64 and g.shape == (len(rows),)
+            assert np.array_equal(g, [predict_tree(tree, x) for x in rows])
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 
@@ -384,7 +469,7 @@ def _oob_error_reference(forest, X, y, bootstraps):
         oob = np.ones(len(y), dtype=bool)
         oob[idx] = False
         if oob.any():
-            prob_sum[oob] += tree_predict_proba(tree, X[oob])
+            prob_sum[oob] += [predict_tree(tree, x) for x in X[oob]]
             tree_count[oob] += 1
     covered = tree_count > 0
     pred = (prob_sum[covered] / tree_count[covered] >= 0.5).astype(np.int64)
