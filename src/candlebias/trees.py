@@ -8,8 +8,10 @@ A tree is one :class:`Tree` of parallel node arrays, which fitting builds and
 prediction reads; only a model file nests it (node_to_dict, node_from_dict).
 Fitting grows trees one depth level at a time: a forest grows a batch of trees
 together, each on its bootstrap given as a count per row, and a plain tree is
-the one-tree batch in which every row counts once (see _grow). Nodes keep the
-order they grow in, breadth first, as does loading a model file. Prediction
+the one-tree batch in which every row counts once (see _grow). A forest grows
+contiguous ranges of its trees, one process per available CPU, and joins them
+and sums their out-of-bag probabilities in tree order, so the count of
+processes moves no bytes (see fit_forest). Nodes keep the order they grow in, breadth first, as does loading a model file. Prediction
 has two scorers behind one generator (_tree_probas). Trees of at most 64
 leaves, the bits of one uint64 mask word, are scored together by bitvectors
 over each row's rank in each feature column (_bitvector_probas); a larger
@@ -19,6 +21,10 @@ left and give the same leaf. Nothing recurses.
 
 from __future__ import annotations
 
+import functools
+import os
+import pickle
+import signal
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -27,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import N_FEATURES
+from .errors import TrainingDivergedError
 from .seeding import mix64
 
 DEFAULT_N_ESTIMATORS = 250
@@ -178,7 +185,8 @@ def _best_cuts(columns, rows, weight, positive, ids, sizes, candidates=None, tab
     features that candidates[:, s] allows (all when None), and the midpoint
     of the values either side of that cut. A gain that is not positive means
     no cut. The midpoint is taken as halves, which cannot overflow; where
-    it rounds up to the value right of the cut, the value left of it is used.
+    it is not finite (-inf and inf either side) or rounds up to the value
+    right of the cut, the value left of it is used.
     Counts are integers; entropies are read from table when it is given.
     """
     n_features, n_open = ids.shape
@@ -200,8 +208,9 @@ def _best_cuts(columns, rows, weight, positive, ids, sizes, candidates=None, tab
     at_best = np.take(gain, np.take(feature, seg) * n_open + cols) == np.take(best, seg)
     cut = np.minimum.reduceat(np.where(at_best, cols, n_open), starts)
     lo, hi = xs[feature, cut], xs[feature, cut + (best > 0.0)]
-    threshold = lo * 0.5 + hi * 0.5
-    return feature, np.where(threshold == hi, lo, threshold), best
+    with np.errstate(invalid="ignore"):  # -inf + inf
+        threshold = lo * 0.5 + hi * 0.5
+    return feature, np.where(np.isfinite(threshold) & (threshold != hi), threshold, lo), best
 
 
 def best_split(X: np.ndarray, y: np.ndarray, candidate_features=None):
@@ -484,14 +493,14 @@ def bootstrap_sample(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, n, size=n)
 
 
-def _batches(n: int, n_estimators: int, seed: int, bootstrap_fn):
-    """Row counts and feature samplers of consecutive trees, one batch at a time.
+def _batches(n: int, trees: range, seed: int, bootstrap_fn):
+    """Row counts and feature samplers of the consecutive trees in trees, one batch at a time.
 
     A batch holds whole trees: one, or as many as fit in _BATCH_ENTRIES
     entries. Tree t depends only on (seed, t), so the batches move no bytes.
     """
     counts, samplers, entries = [], [], 0
-    for t in range(n_estimators):
+    for t in trees:
         tree_seed = mix64(seed, t)
         in_bag = np.bincount(np.asarray(bootstrap_fn(n, tree_seed)), minlength=n)
         if counts and entries + np.count_nonzero(in_bag) > _BATCH_ENTRIES:
@@ -501,6 +510,65 @@ def _batches(n: int, n_estimators: int, seed: int, bootstrap_fn):
         samplers.append(np.random.default_rng(mix64(tree_seed, _FEATURE_STREAM)))
         entries += np.count_nonzero(in_bag)
     yield np.array(counts), samplers
+
+
+def _grow_range(X, y, trees: range, params, seed, bootstrap_fn, by_value, table):
+    """The trees of one range of tree indices and their out-of-bag masks, in tree order."""
+    grown, oob = [], []
+    for counts, samplers in _batches(len(y), trees, seed, bootstrap_fn):
+        grown += _grow(X, y, counts, params, samplers, by_value, table)
+        oob.append(counts == 0)
+    return grown, oob
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where it cannot ask or cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork(work):
+    """Start a process that pickles ``work()``, or the exception it raised, to a pipe.
+
+    Returns (pid, the pipe's read end as a binary file). The child shares the
+    parent's arrays copy-on-write and leaves through os._exit, so it never
+    returns into the caller, runs no exit handler and flushes no inherited
+    buffer. work must call no BLAS: a forked child has none of the parent's
+    threads, so a BLAS thread pool may wait on them for ever.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        try:
+            reply = pickle.dumps((True, work()))
+        except Exception as exc:
+            reply = pickle.dumps((False, exc))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reply(pid: int, pipe):
+    """A started process's result: read to EOF and reaped; its exception is raised here."""
+    data = pipe.read()
+    pipe.close()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        ok, value = pickle.loads(data)
+    except Exception:  # EOF: it died before replying
+        raise TrainingDivergedError(f"a forest-growing process ended without its trees "
+                                    f"(exit status {status})") from None
+    if not ok:
+        raise value
+    return value
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray,
@@ -518,12 +586,22 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     passed as a count per row; tree t equals
     ``fit_tree(X[idx], y[idx], params, sampler)`` for its rows idx and sampler.
 
+    The trees are split into contiguous, near-equal ranges, one per available
+    CPU but no more than the forest could have batches, so a forest of at
+    most _BATCH_ENTRIES (tree, row) pairs stays in this process. This process
+    grows the first range; a forked process grows each other range from the
+    same sorted columns and entropy table, and sends back its trees and
+    out-of-bag masks. They are joined in tree order, so the count of processes
+    moves no bytes. A process's exception is raised here with its type and
+    message; one that ends without a reply raises TrainingDivergedError; and
+    none outlives this call.
+
     The OOB error is the misclassification rate of rows under the trees whose
     bootstrap excludes them: each row is scored by the mean of those trees'
     leaf probabilities, summed in tree order (ties classify as 1), and rows
     in every bootstrap are left out of the denominator. It is None, with a
-    warning, when no row is out of bag. One scoring pass after the last batch
-    gives every tree's out-of-bag rows their probabilities.
+    warning, when no row is out of bag. One scoring pass after every tree is
+    grown gives every tree's out-of-bag rows their probabilities.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -536,10 +614,25 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
         raise ValueError("forest training needs at least 2 rows")
     forest = ForestModel(trees=[], params=params, n_estimators=n_estimators, seed=seed)
     by_value, table = np.argsort(X.T, axis=1, kind="stable"), _entropy_table(n)
-    oob = []
-    for counts, samplers in _batches(n, n_estimators, seed, bootstrap_fn):
-        forest.trees += _grow(X, y, counts, params, samplers, by_value, table)
-        oob.append(counts == 0)
+    most_batches = -(-n_estimators // max(1, _BATCH_ENTRIES // n))  # a batch holds whole trees
+    n_ranges = min(_cpu_count(), most_batches)
+    bounds = [n_estimators * w // n_ranges for w in range(n_ranges + 1)]
+    grow = functools.partial(_grow_range, X, y, params=params, seed=seed,
+                             bootstrap_fn=bootstrap_fn, by_value=by_value, table=table)
+    helpers = []  # (pid, pipe) of each started process not yet reaped
+    try:
+        for low, high in zip(bounds[1:-1], bounds[2:]):
+            helpers.append(_fork(functools.partial(grow, range(low, high))))
+        forest.trees, oob = grow(range(bounds[0], bounds[1]))
+        while helpers:
+            more_trees, more_oob = _reply(*helpers.pop(0))
+            forest.trees += more_trees
+            oob += more_oob
+    finally:
+        for pid, pipe in helpers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     oob = np.concatenate(oob)
     prob_sum = np.zeros(n)
     for tree_oob, proba in zip(oob, _tree_probas(forest.trees, X, oob)):

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import datetime
+import functools
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candlebias import cli, dataset
+from candlebias import cli, dataset, trees
 
 from conftest import synthetic_candles, write_raw_csv
 
@@ -244,6 +245,35 @@ def test_train_diverging_fit_prints_one_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("training error: cannot train lr: non-finite cost")
+
+
+def _fail(kind):
+    if kind == "error":
+        raise ValueError("no bootstrap in a forked process")
+    os._exit(1)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("error", "no bootstrap in a forked process"),
+    ("exit", "a forest-growing process ended without its trees (exit status 1)"),
+])
+def test_train_rf_failing_in_a_forked_range_prints_one_line(kind, message, workspace, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr(trees, "_cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def bootstrap(n, seed):  # fails only in the process growing the second half
+        return trees.bootstrap_sample(n, seed) if os.getpid() == parent else _fail(kind)
+
+    monkeypatch.setattr(trees, "fit_forest",
+                        functools.partial(trees.fit_forest, bootstrap_fn=bootstrap))
+    rc = cli.main(["train", "--model", "rf", "--dataset", str(workspace.dataset),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_TRAINING
+    assert capsys.readouterr().err == f"training error: cannot train rf: {message}\n"
+    assert not (tmp_path / "out" / "model_rf.json").exists()
+    with pytest.raises(ChildProcessError):  # no process outlives the fit
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_train_tree_too_deep_to_recurse_exits_training(tmp_path, capsys):

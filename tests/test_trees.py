@@ -1,5 +1,6 @@
 import collections
 import json
+import os
 import sys
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candlebias import trees
+from candlebias.errors import TrainingDivergedError
 from candlebias.seeding import mix64
 from candlebias.trees import (
     ForestModel,
@@ -755,6 +757,17 @@ def test_split_threshold_lies_between_the_values_either_side(column):
     assert tree.p_up.tolist() == [0.0, 0.0, 1.0] and tree.n.tolist() == [0, 2, 2]
 
 
+def test_a_cut_between_minus_and_plus_infinity_keeps_the_left_value():
+    # their midpoint is NaN; the suite turns its RuntimeWarning into an error
+    inf = np.inf
+    X = [[-inf, 0, 0, 0, 0], [inf, 0, 0, 0, 0]]
+    tree = fit_tree(X, [0, 1], TreeParams(1, 2, 5))
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold[0] == -inf
+    assert tree.p_up.tolist() == [0.0, 0.0, 1.0] and tree.n.tolist() == [0, 1, 1]
+    assert tree_predict(tree, X).tolist() == [0, 1]
+
+
 def test_fitting_leaks_no_runtime_warning():
     X, y = separable_classification(120, seed=3)
     X[:, 2] = 1.0  # a constant column
@@ -769,6 +782,79 @@ def test_fitting_leaks_no_runtime_warning():
             fit_forest(X, labels, n_estimators=2, params=TreeParams(10, 2, 5), seed=1,
                        bootstrap_fn=identity)
         assert best_split(np.ones((6, 5)), y[:6]) is None  # every column constant
+
+
+# ---------------------------------------------------------------------------
+# one process per range of trees
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("params, bootstrap_fn", [
+    (TreeParams(), bootstrap_sample),         # the default parameters
+    (TreeParams(20, 10, 3), bootstrap_sample),  # samplers draw per node
+    (TreeParams(20, 10, 5), lambda n, seed: np.random.default_rng(seed).integers(0, n, n // 2)),
+])
+def test_the_process_count_moves_no_bytes(params, bootstrap_fn, monkeypatch):
+    X, y = separable_classification(300, seed=31)
+    X = np.round(X, 1)  # ties
+    # at most 6 trees of 300 rows a batch, so 30 trees may take 5 ranges; they
+    # take about 3 batches, so 8 CPUs give ranges smaller than a batch
+    monkeypatch.setattr(trees, "_BATCH_ENTRIES", 2000)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or fork())
+    fitted = []
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr(trees, "_cpu_count", lambda: cpus)
+        forest = fit_forest(X, y, 30, params, seed=4, bootstrap_fn=bootstrap_fn)
+        fitted.append((json.dumps(forest_to_dict(forest)), forest.oob_error))
+        _assert_no_child_process()
+    assert collections.Counter(forks) == {2: 1, 3: 2, 8: 4}  # processes started per count
+    assert fitted[0][1] is not None
+    assert all(f == fitted[0] for f in fitted)
+
+
+def test_a_forest_of_one_batch_starts_no_process(monkeypatch):
+    X, y = separable_classification(100, seed=2)
+    monkeypatch.setattr(trees, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one batch"))
+    fit_forest(X, y, trees._BATCH_ENTRIES // 100, TreeParams(20, 10, 3), seed=1)
+
+
+@pytest.mark.parametrize("in_child", [True, False])
+def test_an_error_in_a_range_is_raised_with_its_type_and_message(in_child, monkeypatch):
+    X, y = separable_classification(400, seed=3)
+    monkeypatch.setattr(trees, "_cpu_count", lambda: 3)  # 60 trees: three ranges of 20
+    parent = os.getpid()
+
+    def bootstrap(n, seed):  # fails in both forked processes, or in this one only
+        if (os.getpid() != parent) == in_child:
+            raise ValueError(f"no bootstrap in process {os.getpid()}")
+        return bootstrap_sample(n, seed)
+
+    with pytest.raises(ValueError, match="no bootstrap in process") as raised:
+        fit_forest(X, y, 60, TreeParams(20, 10, 5), seed=5, bootstrap_fn=bootstrap)
+    assert (int(str(raised.value).split()[-1]) != parent) == in_child
+    _assert_no_child_process()  # the other processes were stopped and reaped
+
+
+def test_a_forked_range_that_ends_without_replying_raises_one_line(monkeypatch):
+    X, y = separable_classification(400, seed=3)
+    monkeypatch.setattr(trees, "_cpu_count", lambda: 2)
+    parent, grow = os.getpid(), trees._grow
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return grow(*args)
+
+    monkeypatch.setattr(trees, "_grow", dies_in_a_child)
+    with pytest.raises(TrainingDivergedError, match=r"exit status 1\)$") as raised:
+        fit_forest(X, y, 40, TreeParams(20, 10, 5), seed=5)
+    assert "\n" not in str(raised.value)
+    _assert_no_child_process()
 
 
 # ---------------------------------------------------------------------------
