@@ -1,17 +1,19 @@
 """Pipeline driver: prepare data, train a model, evaluate it, compare all four.
 
 Subcommands
-    prepare   ingest raw OHLCV CSV, label it, write dataset.csv + summary JSON
+    prepare   ingest raw OHLCV CSV, label it, write dataset.csv, its row cache
+              dataset.csv.rows and summary JSON
     train     fit lr | dt | rf | fnn on the prepared dataset's train range
     evaluate  score a saved model file (--model or --model-file) on a dataset split
     compare   train all four models and emit one combined report, scoring each
               fitted document as evaluate scores a file, without reading it back
 
-Exit statuses: 0 success, 1 usage error, 2 data error, 3 training error. A
-library warning (an undefined F1 or OOB error) is one "warning: ..." line on
-stderr, without a source location, and leaves the status as it is. Every
-command is deterministic given (inputs, config, master seed); per-model seeds
-fan out from the master seed through seeding.mix64.
+Exit statuses: 0 success, 1 usage error, 2 data error (a file that cannot be
+read or written included), 3 training error. A library warning (an undefined
+F1 or OOB error) is one "warning: ..." line on stderr, without a source
+location, and leaves the status as it is. Every command is deterministic given
+(inputs, config, master seed); per-model seeds fan out from the master seed
+through seeding.mix64.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import dataset, logistic, metrics, neural, trees
-from .errors import DataError, TrainingDivergedError
+from .errors import DataError, TrainingDivergedError, writing
 from .seeding import mix64
 
 DATA_DIR_ENV = "CANDLEBIAS_DATA_DIR"
@@ -152,10 +154,8 @@ def _parse_split(text: str):
 # dataset plumbing
 
 def _make_out_dir(config: RunConfig) -> None:
-    try:
+    with writing(config.out_dir):
         config.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot write {config.out_dir}: {exc}") from exc
 
 
 def _load_split_dataset(config: RunConfig, args):
@@ -271,10 +271,12 @@ def _train_and_save(name: str, ds: dataset.LabeledDataset, train: range, config:
 
     _make_out_dir(config)
     written = [config.out_dir / f"model_{name}.json"]
-    written[0].write_text(text + "\n", encoding="utf-8")
+    with writing(written[0]):
+        written[0].write_text(text + "\n", encoding="utf-8")
     if spec.history_file:
         written.append(config.out_dir / spec.history_file)
-        metrics.write_history_csv(written[-1], history)
+        with writing(written[-1]):
+            metrics.write_history_csv(written[-1], history)
     return doc, written
 
 
@@ -324,7 +326,8 @@ def _score(name: str, model, ds: dataset.LabeledDataset, rng: range, path: Path)
 def _write_report(config: RunConfig, stem: str, text: str) -> Path:
     extension, _ = metrics.REPORT_FORMATS[config.report_format]
     path = config.out_dir / f"{stem}.{extension}"
-    path.write_text(text, encoding="utf-8")
+    with writing(path):
+        path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -356,7 +359,8 @@ def cmd_prepare(config: RunConfig, args) -> int:
         "split": split.as_dict(),
     }
     summary_path = config.out_dir / "dataset_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    with writing(summary_path):
+        summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {csv_path} ({len(ds)} rows) and {summary_path}")
     return EXIT_OK
 

@@ -3,26 +3,41 @@
 The feature matrix column order is fixed package-wide as
 (Close, Volume, Open, High, Low); every model module consumes this order.
 Dates are kept only for ordering and split bookkeeping, never as a feature.
+
+Beside each dataset.csv it writes, write_labeled_csv puts a binary row cache,
+dataset.csv.rows: a sha256 digest of the CSV's bytes and the records, then one
+little-endian record (date ordinal, the seven numbers) per row. It is written
+only for a dataset that reads back from the CSV (finite numbers, increasing
+dates), whose repr floats and isoformat dates round-trip exactly, so its
+records are what parsing the CSV gives. read_labeled_csv takes the rows from
+it when the digest matches the CSV it has just read, and otherwise parses the
+CSV: the cache is never required, and a stale or damaged one is ignored.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import hashlib
+import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, writing
 
 FEATURE_COLUMNS = ("Close", "Volume", "Open", "High", "Low")
 N_FEATURES = len(FEATURE_COLUMNS)
 REQUIRED_COLUMNS = ("Date", "SecuritiesCode", "Open", "High", "Low", "Close", "Volume")
 LABELED_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Volume", "Next", "Target")
 # One record per dataset.csv row: every column but the date, under its own name.
-_ROW = np.dtype([(name, np.float64) for name in LABELED_COLUMNS[1:-1]]
-                + [(LABELED_COLUMNS[-1], np.int64)])
+_ROW = np.dtype([(name, "<f8") for name in LABELED_COLUMNS[1:-1]]
+                + [(LABELED_COLUMNS[-1], "<i8")])
+# One dataset.csv.rows record: the row's date as its proleptic ordinal, then _ROW.
+_RECORD = np.dtype([("Day", "<i8"), *_ROW.descr])
+_DIGEST_SIZE = hashlib.sha256().digest_size
 _BLANK = ("\r\n", "\n", "\r")  # the lines csv.reader reads as empty rows
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # Rows per write_labeled_csv block: whole columns of Python floats for a 12k-row
@@ -255,24 +270,66 @@ def write_labeled_csv(ds: LabeledDataset, path) -> None:
     """Write the labeled dataset as Date,Open,High,Low,Close,Volume,Next,Target.
 
     Lines end in CRLF and floats are written as repr, the bytes csv.writer
-    writes; no field needs quoting.
+    writes; no field needs quoting. Then, when the file reads back as ``ds``,
+    write its row cache ``<path>.rows`` (see the module docstring). A file
+    that cannot be written raises DataError naming it.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(LABELED_COLUMNS) + "\r\n")
-        for start in range(0, len(ds), _WRITE_BLOCK):
-            rows = slice(start, start + _WRITE_BLOCK)
-            close, volume, open_, high, low = ds.features[rows].T.tolist()
-            fh.write("".join(
-                f"{d.isoformat()},{o!r},{h!r},{lo!r},{c!r},{v!r},{nx!r},{t}\r\n"
-                for d, o, h, lo, c, v, nx, t in zip(ds.dates[rows], open_, high, low, close,
-                                                   volume, ds.next_close[rows].tolist(),
-                                                   ds.targets[rows].tolist())))
+    digest = hashlib.sha256()
+    with writing(path), open(path, "wb") as fh:
+        for block in _csv_blocks(ds):
+            data = block.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+    days = _day_numbers(ds)
+    if days is None:
+        return
+    records = np.empty(len(ds), _RECORD)
+    records["Day"] = days
+    for j, name in enumerate(FEATURE_COLUMNS):
+        records[name] = ds.features[:, j]
+    records["Next"] = ds.next_close
+    records["Target"] = ds.targets
+    digest.update(records.view(np.uint8))
+    with writing(f"{path}.rows"), open(f"{path}.rows", "wb") as fh:
+        fh.write(digest.digest())
+        records.tofile(fh)
+
+
+def _csv_blocks(ds: LabeledDataset):
+    """The text of dataset.csv, header first, then _WRITE_BLOCK rows at a time."""
+    yield ",".join(LABELED_COLUMNS) + "\r\n"
+    for start in range(0, len(ds), _WRITE_BLOCK):
+        rows = slice(start, start + _WRITE_BLOCK)
+        close, volume, open_, high, low = ds.features[rows].T.tolist()
+        yield "".join(
+            f"{d.isoformat()},{o!r},{h!r},{lo!r},{c!r},{v!r},{nx!r},{t}\r\n"
+            for d, o, h, lo, c, v, nx, t in zip(ds.dates[rows], open_, high, low, close,
+                                               volume, ds.next_close[rows].tolist(),
+                                               ds.targets[rows].tolist()))
+
+
+def _day_numbers(ds: LabeledDataset):
+    """The date ordinals of ds when its dataset.csv reads back as ds, else None.
+
+    LabeledDataset does not check what read_labeled_csv refuses: an empty
+    dataset, a non-finite number, a date that does not come after the one
+    before, and the cells a bool target or a datetime date would write.
+    """
+    if not (len(ds) and ds.targets.dtype.kind in "iu"
+            and all(type(d) is datetime.date for d in ds.dates)
+            and np.isfinite(ds.features).all() and np.isfinite(ds.next_close).all()):
+        return None
+    days = np.fromiter(map(datetime.date.toordinal, ds.dates), np.int64, len(ds))
+    return days if (days[1:] > days[:-1]).all() else None
 
 
 def read_labeled_csv(path) -> LabeledDataset:
     """Read a labeled CSV written by :func:`write_labeled_csv`.
 
-    The non-blank lines are checked and parsed at once, their seven numeric
+    The file is read once. When its row cache ``<path>.rows`` is bound to
+    those bytes by its digest, the rows come from the cache. Otherwise the
+    non-blank lines are checked and parsed at once, their seven numeric
     cells in one ``np.loadtxt`` pass. A row without eight fields, with a cell
     that does not parse or is not finite, or whose date does not come after
     the one before raises DataError naming the file and the line, blank lines
@@ -280,13 +337,54 @@ def read_labeled_csv(path) -> LabeledDataset:
     at about one ``loadtxt`` call per line up to the fault.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+
+    records = _cached_records(path, raw)
+    if records is None:
+        try:  # split and decoded as a text-mode open() would, with the same errors
+            lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="").readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+    del raw  # as large as the file: not kept while the columns are built
+    if records is None:
+        columns = _parsed(path, lines)
+    else:
+        columns = (np.stack([records[name] for name in FEATURE_COLUMNS], axis=1,
+                            dtype=np.float64),
+                   records["Next"].astype(np.float64), records["Target"].astype(np.int64),
+                   tuple(map(datetime.date.fromordinal, records["Day"].tolist())))
+
+    try:
+        return LabeledDataset(*columns)
+    except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
+
+def _cached_records(path, raw: bytes):
+    """The records of ``<path>.rows`` when its digest binds them to raw, else None."""
+    try:
+        with open(f"{path}.rows", "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size - _DIGEST_SIZE
+            if size <= 0 or size % _RECORD.itemsize:
+                return None
+            stored = fh.read(_DIGEST_SIZE)
+            records = np.fromfile(fh, _RECORD)
+    except OSError:
+        return None
+    digest = hashlib.sha256(raw)
+    digest.update(records.view(np.uint8))
+    return records if digest.digest() == stored else None
+
+
+def _parsed(path, lines):
+    """Features, next closes, targets and dates of dataset.csv's lines.
+
+    Raises DataError naming path, and the first faulty line where one line
+    is at fault.
+    """
     try:
         header = tuple(next(csv.reader(lines[:1]), ()))
     except csv.Error as exc:
@@ -298,7 +396,7 @@ def read_labeled_csv(path) -> LabeledDataset:
         raise DataError(f"{path}: empty labeled dataset")
 
     try:
-        columns = _checked(rows)
+        return _checked(rows)
     except ValueError as exc:
         previous = None
         for number, line in enumerate(lines[1:], 2):
@@ -309,11 +407,6 @@ def read_labeled_csv(path) -> LabeledDataset:
             except ValueError as fault:  # loadtxt's message also names row 0 of this one row
                 raise DataError(f"{path}, line {number}: "
                                 f"{str(fault).partition(' at row ')[0]}") from fault
-        raise DataError(f"{path}: {exc}") from exc
-
-    try:
-        return LabeledDataset(*columns)
-    except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

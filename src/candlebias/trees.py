@@ -11,12 +11,13 @@ together, each on its bootstrap given as a count per row, and a plain tree is
 the one-tree batch in which every row counts once (see _grow). A forest grows
 contiguous ranges of its trees, one process per available CPU, and joins them
 and sums their out-of-bag probabilities in tree order, so the count of
-processes moves no bytes (see fit_forest). Nodes keep the order they grow in, breadth first, as does loading a model file. Prediction
-has two scorers behind one generator (_tree_probas). Trees of at most 64
-leaves, the bits of one uint64 mask word, are scored together by bitvectors
-over each row's rank in each feature column (_bitvector_probas); a larger
-tree partitions the rows that reach each split (_descend). Both send ties
-left and give the same leaf. Nothing recurses.
+processes moves no bytes (see fit_forest). Nodes keep the order they grow
+in, breadth first, as does loading a model file. Prediction has two scorers
+behind one generator (_tree_probas). Trees of at most 64 leaves, the bits of
+one uint64 mask word, are scored together by bitvectors over each row's rank
+in each feature column (_bitvector_probas); a larger tree partitions the
+rows that reach each split (_descend). Both send ties left and give the same
+leaf. Nothing recurses.
 """
 
 from __future__ import annotations

@@ -716,6 +716,39 @@ def test_out_dir_that_cannot_be_created_exits_data(workspace, tmp_path, capsys):
     assert err.startswith(f"data error: cannot write {blocker / 'sub'}") and err.count("\n") == 1
 
 
+# A file each command writes, made a directory so that writing it fails.
+UNWRITABLE_FILES = {
+    "prepare_dataset": ("prepare", "dataset.csv"),
+    "prepare_row_cache": ("prepare", "dataset.csv.rows"),
+    "prepare_summary": ("prepare", "dataset_summary.json"),
+    "train_model": ("train", "model_lr.json"),
+    "train_history": ("train", "lr_cost_history.csv"),
+    "compare_model": ("compare", "model_lr.json"),
+    "compare_report": ("compare", "report_compare.txt"),
+    "evaluate_report": ("evaluate", "report_lr_validation.txt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_FILES))
+def test_a_write_that_fails_exits_data_with_one_line(case, trained, tmp_path, capsys):
+    command, name = UNWRITABLE_FILES[case]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = {
+        "prepare": ["prepare", "--data", str(trained.raw)],
+        "train": ["train", "--model", "lr", "--dataset", str(trained.dataset)],
+        "compare": ["compare", "--config", str(trained.config),
+                    "--dataset", str(trained.dataset)],
+        "evaluate": ["evaluate", "--model-file", str(trained.out / "model_lr.json"),
+                     "--dataset", str(trained.dataset)],
+    }[command]
+    rc = cli.main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: cannot write {out / name}: ") and err.count("\n") == 1
+    assert ".py:" not in err
+
+
 # ---------------------------------------------------------------------------
 # saved model files under random damage
 

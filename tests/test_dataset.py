@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -621,6 +622,7 @@ def test_read_labeled_csv_on_a_long_file_names_the_reference_line(tmp_path, case
 def test_read_labeled_csv_names_the_file_when_no_single_line_fails(tmp_path, monkeypatch):
     path = tmp_path / "labeled.csv"
     write_labeled_csv(_dataset(20), path)
+    (tmp_path / "labeled.csv.rows").unlink()  # a cache hit would never call _checked
     checked = dataset._checked
 
     def refuse_many(rows, previous=None):
@@ -643,6 +645,203 @@ def test_read_labeled_csv_refuses_cells_only_numpy_parses(tmp_path, column, cell
         read_labeled_csv(path)
     with pytest.raises(DataError, match=r"labeled\.csv, line 4: "):
         _reference_read_labeled_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# dataset.csv.rows, the row cache beside dataset.csv
+
+# The cache's record, spelled out here as the format states it: not the
+# module's own dtype, so a change to that shows.
+_CACHE_RECORD = np.dtype([("Day", "<i8"), ("Open", "<f8"), ("High", "<f8"), ("Low", "<f8"),
+                          ("Close", "<f8"), ("Volume", "<f8"), ("Next", "<f8"),
+                          ("Target", "<i8")])
+
+
+def _rows_path(path):
+    return path.with_name(path.name + ".rows")
+
+
+def _same_layout(a, b):
+    """The arrays of a and b have the same dtypes and strides."""
+    return all(x.dtype == y.dtype and x.strides == y.strides for x, y in zip(
+        (a.features, a.next_close, a.targets), (b.features, b.next_close, b.targets)))
+
+
+def _read_from_cache(path):
+    """read_labeled_csv(path), failing if it parses the CSV instead of taking the cache."""
+    with mock.patch.object(dataset, "_checked", side_effect=AssertionError("parsed the CSV")):
+        return read_labeled_csv(path)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_row_cache_hit_reads_what_parsing_the_csv_reads(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 12))
+    features = np.array(data.draw(st.lists(st.lists(_PRICE, min_size=5, max_size=5),
+                                           min_size=n, max_size=n)))
+    next_close = np.array(data.draw(st.lists(_PRICE, min_size=n, max_size=n)))
+    first = data.draw(st.sampled_from([1, 2]) | st.integers(1, 3_000_000))  # 1 is 0001-01-01
+    gaps = data.draw(st.lists(st.integers(1, 4000), min_size=n - 1, max_size=n - 1))
+    dates = tuple(map(datetime.date.fromordinal, np.cumsum([first, *gaps]).tolist()))
+    ds = LabeledDataset(features, next_close, (next_close > features[:, 0]).astype(np.int64),
+                        dates)
+    path = tmp_path_factory.mktemp("row_cache") / "dataset.csv"
+    write_labeled_csv(ds, path)
+    assert _rows_path(path).stat().st_size == 32 + 64 * n
+
+    hit = _read_from_cache(path)
+    _rows_path(path).unlink()
+    parsed = read_labeled_csv(path)
+    assert _same_dataset(hit, ds) and _same_dataset(hit, parsed)
+    assert _same_dataset(hit, _reference_read_labeled_csv(path))
+    assert _same_layout(hit, parsed)
+
+
+def test_the_row_cache_holds_the_digest_then_one_record_per_row(tmp_path):
+    ds = _dataset(30)
+    path = tmp_path / "labeled.csv"
+    write_labeled_csv(ds, path)
+    cache = _rows_path(path).read_bytes()
+    records = np.frombuffer(cache, _CACHE_RECORD, offset=32)
+    assert cache[:32] == hashlib.sha256(path.read_bytes() + cache[32:]).digest()
+    assert records["Day"].tolist() == [d.toordinal() for d in ds.dates]
+    for j, name in enumerate(dataset.FEATURE_COLUMNS):
+        assert records[name].tobytes() == ds.features[:, j].astype("<f8").tobytes()
+    assert records["Next"].tobytes() == ds.next_close.astype("<f8").tobytes()
+    assert records["Target"].tolist() == ds.targets.tolist()
+
+
+def _with(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+def _fields(ds, **changed):
+    """The fields of ds as LabeledDataset keywords, those in changed replaced."""
+    return {"features": ds.features, "next_close": ds.next_close, "targets": ds.targets,
+            "dates": ds.dates, **changed}
+
+
+def _next_close_inf(ds, i):
+    next_close = _with(ds.next_close, i, math.inf)
+    return _fields(ds, next_close=next_close,
+                   targets=(next_close > ds.features[:, 0]).astype(np.int64))
+
+
+# Datasets LabeledDataset takes and read_labeled_csv refuses, as edits of a
+# 20-row dataset, each with the line its data error names (None: no line).
+_NOT_READ_BACK = {
+    "nan_open": (lambda ds: _fields(ds, features=_with(ds.features, (3, 2), math.nan)), 5),
+    "inf_volume": (lambda ds: _fields(ds, features=_with(ds.features, (0, 1), math.inf)), 2),
+    "inf_next": (lambda ds: _next_close_inf(ds, 4), 6),
+    "date_repeated": (lambda ds: _fields(ds, dates=ds.dates[:3] + ds.dates[2:3] + ds.dates[4:]),
+                      5),
+    "date_earlier": (lambda ds: _fields(ds, dates=ds.dates[:3] + (datetime.date(1999, 1, 1),)
+                                        + ds.dates[4:]), 5),
+    "bool_targets": (lambda ds: _fields(ds, targets=ds.targets.astype(bool)), 2),
+    "datetime_dates": (lambda ds: _fields(ds, dates=tuple(
+        datetime.datetime.combine(d, datetime.time()) for d in ds.dates)), 2),
+    "empty": (lambda ds: _fields(ds, features=ds.features[:0], next_close=ds.next_close[:0],
+                                 targets=ds.targets[:0], dates=()), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_READ_BACK))
+def test_a_dataset_that_does_not_read_back_gets_no_cache(case, tmp_path, capsys):
+    edit, line = _NOT_READ_BACK[case]
+    ds = LabeledDataset(**edit(_dataset(20)))
+    path = tmp_path / "dataset.csv"
+    write_labeled_csv(ds, path)
+    assert not _rows_path(path).exists()
+
+    expected = _read_or_error(_reference_read_labeled_csv, path)
+    got = _read_or_error(read_labeled_csv, path)
+    assert isinstance(got, str) and _line_named(got, path) == line
+    assert _line_named(expected, path) == line
+    rc = cli.main(["train", "--model", "dt", "--dataset", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA and err == f"data error: {got}\n"
+
+
+def _edit_csv(path, cell):
+    """Put cell in the Volume column of dataset.csv's third row."""
+    lines = path.read_bytes().split(b"\r\n")
+    fields = lines[3].split(b",")
+    fields[5] = cell
+    lines[3] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _flip(offset):
+    def flip(path, cache, other):
+        data = bytearray(cache.read_bytes())
+        data[offset] ^= 0x01
+        cache.write_bytes(bytes(data))
+    return flip
+
+
+# Each way a row cache can fail to match its dataset.csv, as an edit of
+# (dataset.csv, its cache, a dataset.csv of the same length with another cache).
+_BAD_CACHES = {
+    "csv_edited_after_the_write": lambda path, cache, other: _edit_csv(path, b"12345.0"),
+    "csv_damaged_after_the_write": lambda path, cache, other: _edit_csv(path, b"abc"),
+    "cache_truncated_by_a_record": lambda path, cache, other: cache.write_bytes(
+        cache.read_bytes()[:-64]),
+    "cache_truncated_in_its_digest": lambda path, cache, other: cache.write_bytes(
+        cache.read_bytes()[:20]),
+    "cache_emptied": lambda path, cache, other: cache.write_bytes(b""),
+    "cache_one_byte_longer": lambda path, cache, other: cache.write_bytes(
+        cache.read_bytes() + b"\0"),
+    "cache_of_the_digest_alone": lambda path, cache, other: cache.write_bytes(
+        cache.read_bytes()[:32]),
+    "byte_flipped_in_the_digest": _flip(0),
+    "byte_flipped_in_a_date": _flip(32 + 64 * 5),
+    "byte_flipped_in_a_price": _flip(40),
+    "byte_flipped_in_the_last_target": _flip(-8),
+    "cache_copied_from_another_csv": lambda path, cache, other: cache.write_bytes(
+        _rows_path(other).read_bytes()),
+    "cache_missing": lambda path, cache, other: cache.unlink(),
+    "cache_is_a_directory": lambda path, cache, other: (cache.unlink(), cache.mkdir()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CACHES))
+def test_a_cache_that_does_not_match_gives_the_parse_result(case, tmp_path, capsys):
+    path, other = tmp_path / "dataset.csv", tmp_path / "other" / "dataset.csv"
+    other.parent.mkdir()
+    write_labeled_csv(_dataset(20), path)
+    write_labeled_csv(_dataset(20, seed=1), other)
+    cache = _rows_path(path)
+    _BAD_CACHES[case](path, cache, other)
+    left = cache.read_bytes() if cache.is_file() else None
+
+    with mock.patch.object(dataset, "_checked", wraps=dataset._checked) as checked:
+        got = _read_or_error(read_labeled_csv, path)
+    assert checked.called and capsys.readouterr() == ("", "")
+    assert (cache.read_bytes() if cache.is_file() else None) == left  # a read writes no cache
+
+    expected = _read_or_error(_reference_read_labeled_csv, path)
+    if cache.is_file():
+        cache.unlink()
+    parsed = _read_or_error(read_labeled_csv, path)
+    if isinstance(parsed, str):
+        assert got == parsed and _line_named(got, path) == _line_named(expected, path) == 4
+    else:
+        assert _same_dataset(got, parsed) and _same_dataset(got, expected)
+        assert _same_layout(got, parsed)
+    if case == "csv_edited_after_the_write":
+        assert got.features[2, 1] == 12345.0
+
+
+def test_two_prepares_of_one_input_write_the_same_cache(tmp_path, synthetic_csv):
+    caches = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["prepare", "--data", str(synthetic_csv), "--out", str(out)]) == 0
+        caches.append((out / "dataset.csv.rows").read_bytes())
+        assert len(read_labeled_csv(out / "dataset.csv")) == (len(caches[-1]) - 32) // 64
+    assert caches[0] == caches[1]
 
 
 def test_dataset_is_immutable():
