@@ -258,7 +258,8 @@ MODEL_NAMES = tuple(MODELS)
 
 
 def _train_and_save(name: str, ds: dataset.LabeledDataset, train: range, config: RunConfig):
-    """Fit one model on rows train; write its model file and history CSV; return (doc, paths)."""
+    """Fit one model on rows train; write its history CSV, then its model file,
+    so a failed write leaves no fresh model file; return (doc, paths), model first."""
     spec = MODELS[name]
     X, y = ds.rows(train), ds.labels(train)
     try:
@@ -271,12 +272,12 @@ def _train_and_save(name: str, ds: dataset.LabeledDataset, train: range, config:
 
     _make_out_dir(config)
     written = [config.out_dir / f"model_{name}.json"]
-    with writing(written[0]):
-        written[0].write_text(text + "\n", encoding="utf-8")
     if spec.history_file:
         written.append(config.out_dir / spec.history_file)
         with writing(written[-1]):
             metrics.write_history_csv(written[-1], history)
+    with writing(written[0]):
+        written[0].write_text(text + "\n", encoding="utf-8")
     return doc, written
 
 

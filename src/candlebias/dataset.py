@@ -2,16 +2,17 @@
 
 The feature matrix column order is fixed package-wide as
 (Close, Volume, Open, High, Low); every model module consumes this order.
-Dates are kept only for ordering and split bookkeeping, never as a feature.
+Dates are kept, as day ordinals, only for ordering and split bookkeeping,
+never as a feature.
 
-Beside each dataset.csv it writes, write_labeled_csv puts a binary row cache,
-dataset.csv.rows: a sha256 digest of the CSV's bytes and the records, then one
-little-endian record (date ordinal, the seven numbers) per row. It is written
-only for a dataset that reads back from the CSV (finite numbers, increasing
-dates), whose repr floats and isoformat dates round-trip exactly, so its
-records are what parsing the CSV gives. read_labeled_csv takes the rows from
-it when the digest matches the CSV it has just read, and otherwise parses the
-CSV: the cache is never required, and a stale or damaged one is ignored.
+Beside each dataset.csv it writes, write_labeled_csv always puts a binary row
+cache, dataset.csv.rows: a sha256 digest of the CSV's bytes and the records,
+then one little-endian record (date ordinal, the seven numbers) per row. Every
+LabeledDataset reads back from its CSV, whose repr floats and ISO dates
+round-trip exactly, so the records are what parsing the CSV gives.
+read_labeled_csv takes the rows from the cache when the digest matches the CSV
+it has just read, and otherwise parses the CSV: the cache is never required,
+and a stale or damaged one is ignored.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, writing
+from .errors import DataError, json_number, writing
 
 FEATURE_COLUMNS = ("Close", "Volume", "Open", "High", "Low")
 N_FEATURES = len(FEATURE_COLUMNS)
@@ -38,6 +39,8 @@ _ROW = np.dtype([(name, "<f8") for name in LABELED_COLUMNS[1:-1]]
 # One dataset.csv.rows record: the row's date as its proleptic ordinal, then _ROW.
 _RECORD = np.dtype([("Day", "<i8"), *_ROW.descr])
 _DIGEST_SIZE = hashlib.sha256().digest_size
+# The ordinals of datetime64's day 0 and of the last date an ISO date string can hold.
+_EPOCH, _LAST_DAY = datetime.date(1970, 1, 1).toordinal(), datetime.date.max.toordinal()
 _BLANK = ("\r\n", "\n", "\r")  # the lines csv.reader reads as empty rows
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # Rows per write_labeled_csv block: whole columns of Python floats for a 12k-row
@@ -73,26 +76,38 @@ class SplitRanges:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix, next-day close and binary direction targets.
+    """Feature matrix, next-day close, binary direction targets and dates.
 
-    ``features`` columns follow :data:`FEATURE_COLUMNS`. ``targets[i]`` is 1
-    exactly when ``next_close[i] > features[i, 0]``. Arrays are read-only, so a
-    dataset cannot change after it is built.
+    ``features`` columns follow :data:`FEATURE_COLUMNS`. ``targets[i]``, an
+    integer, is 1 exactly when ``next_close[i] > features[i, 0]``. ``dates``
+    holds int64 day ordinals (``datetime.date.toordinal``), strictly increasing.
+    With at least one row and only finite numbers, a dataset reads back from its
+    dataset.csv. Arrays are read-only, so a dataset cannot change after it is built.
     """
 
     features: np.ndarray
     next_close: np.ndarray
     targets: np.ndarray
-    dates: tuple
+    dates: np.ndarray
 
     def __post_init__(self):
         n = len(self.targets)
         if (self.features.shape != (n, N_FEATURES) or len(self.next_close) != n
                 or len(self.dates) != n):
             raise ValueError("inconsistent LabeledDataset field lengths")
+        if not n:
+            raise ValueError("empty labeled dataset")
+        if not (np.isfinite(self.features).all() and np.isfinite(self.next_close).all()):
+            raise ValueError("non-finite feature or next close")
+        if self.targets.dtype.kind not in "iu":
+            raise ValueError(f"targets must be integers, got {self.targets.dtype}")
         if not np.array_equal(self.targets, (self.next_close > self.features[:, 0])):
             raise ValueError("targets inconsistent with next_close > close")
-        for arr in (self.features, self.next_close, self.targets):
+        days = self.dates
+        if not (days.dtype == np.int64 and 0 < days[0] <= days[-1] <= _LAST_DAY
+                and (days[1:] > days[:-1]).all()):
+            raise ValueError("dates must be increasing int64 day ordinals of years 1 to 9999")
+        for arr in (self.features, self.next_close, self.targets, self.dates):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -123,11 +138,8 @@ class Standardizer:
     def from_dict(cls, d: dict) -> "Standardizer":
         if not isinstance(d, dict):
             raise ValueError(f"standardizer must be an object, got {d!r}")
-        mean = np.asarray(d["mean"], dtype=float)
-        stddev = np.asarray(d["stddev"], dtype=float)
-        if mean.shape != (N_FEATURES,) or stddev.shape != (N_FEATURES,):
-            raise ValueError(f"standardizer needs {N_FEATURES} means and stddevs, "
-                             f"got shapes {mean.shape} and {stddev.shape}")
+        mean = json_number(d["mean"], "standardizer mean", (N_FEATURES,))
+        stddev = json_number(d["stddev"], "standardizer stddev", (N_FEATURES,))
         if not np.all(stddev > 0.0):
             raise ValueError(f"standardizer stddevs must be positive, got {stddev.tolist()}")
         return cls(mean=mean, stddev=stddev)
@@ -224,13 +236,14 @@ def label(dates, prices) -> LabeledDataset:
     """
     if len(dates) < 2:
         raise DataError("labeling needs at least 2 records")
-    for a, b in zip(dates, dates[1:]):
-        if a >= b:
-            raise DataError(f"dates not strictly increasing at {b}")
+    days = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(dates))
+    late = np.flatnonzero(days[1:] <= days[:-1])
+    if late.size:
+        raise DataError(f"dates not strictly increasing at {dates[late[0] + 1]}")
     prices = np.array(prices, dtype=float)
     features, next_close = prices[:-1], prices[1:, 0]
     targets = (next_close > features[:, 0]).astype(np.int64)
-    return LabeledDataset(features, next_close, targets, tuple(dates[:-1]))
+    return LabeledDataset(features, next_close, targets, days[:-1])
 
 
 def split_chronological(n: int, train_frac: float, val_frac: float) -> SplitRanges:
@@ -270,9 +283,9 @@ def write_labeled_csv(ds: LabeledDataset, path) -> None:
     """Write the labeled dataset as Date,Open,High,Low,Close,Volume,Next,Target.
 
     Lines end in CRLF and floats are written as repr, the bytes csv.writer
-    writes; no field needs quoting. Then, when the file reads back as ``ds``,
-    write its row cache ``<path>.rows`` (see the module docstring). A file
-    that cannot be written raises DataError naming it.
+    writes; no field needs quoting. Then write its row cache ``<path>.rows``
+    (see the module docstring). A file that cannot be written raises
+    DataError naming it.
     """
     digest = hashlib.sha256()
     with writing(path), open(path, "wb") as fh:
@@ -281,11 +294,8 @@ def write_labeled_csv(ds: LabeledDataset, path) -> None:
             digest.update(data)
             fh.write(data)
 
-    days = _day_numbers(ds)
-    if days is None:
-        return
     records = np.empty(len(ds), _RECORD)
-    records["Day"] = days
+    records["Day"] = ds.dates
     for j, name in enumerate(FEATURE_COLUMNS):
         records[name] = ds.features[:, j]
     records["Next"] = ds.next_close
@@ -302,26 +312,12 @@ def _csv_blocks(ds: LabeledDataset):
     for start in range(0, len(ds), _WRITE_BLOCK):
         rows = slice(start, start + _WRITE_BLOCK)
         close, volume, open_, high, low = ds.features[rows].T.tolist()
+        dates = np.datetime_as_string((ds.dates[rows] - _EPOCH).astype("datetime64[D]"))
         yield "".join(
-            f"{d.isoformat()},{o!r},{h!r},{lo!r},{c!r},{v!r},{nx!r},{t}\r\n"
-            for d, o, h, lo, c, v, nx, t in zip(ds.dates[rows], open_, high, low, close,
+            f"{d},{o!r},{h!r},{lo!r},{c!r},{v!r},{nx!r},{t}\r\n"
+            for d, o, h, lo, c, v, nx, t in zip(dates.tolist(), open_, high, low, close,
                                                volume, ds.next_close[rows].tolist(),
                                                ds.targets[rows].tolist()))
-
-
-def _day_numbers(ds: LabeledDataset):
-    """The date ordinals of ds when its dataset.csv reads back as ds, else None.
-
-    LabeledDataset does not check what read_labeled_csv refuses: an empty
-    dataset, a non-finite number, a date that does not come after the one
-    before, and the cells a bool target or a datetime date would write.
-    """
-    if not (len(ds) and ds.targets.dtype.kind in "iu"
-            and all(type(d) is datetime.date for d in ds.dates)
-            and np.isfinite(ds.features).all() and np.isfinite(ds.next_close).all()):
-        return None
-    days = np.fromiter(map(datetime.date.toordinal, ds.dates), np.int64, len(ds))
-    return days if (days[1:] > days[:-1]).all() else None
 
 
 def read_labeled_csv(path) -> LabeledDataset:
@@ -355,7 +351,7 @@ def read_labeled_csv(path) -> LabeledDataset:
         columns = (np.stack([records[name] for name in FEATURE_COLUMNS], axis=1,
                             dtype=np.float64),
                    records["Next"].astype(np.float64), records["Target"].astype(np.int64),
-                   tuple(map(datetime.date.fromordinal, records["Day"].tolist())))
+                   records["Day"].astype(np.int64))
 
     try:
         return LabeledDataset(*columns)
@@ -380,7 +376,7 @@ def _cached_records(path, raw: bytes):
 
 
 def _parsed(path, lines):
-    """Features, next closes, targets and dates of dataset.csv's lines.
+    """Features, next closes, targets and day ordinals of dataset.csv's lines.
 
     Raises DataError naming path, and the first faulty line where one line
     is at fault.
@@ -410,16 +406,16 @@ def _parsed(path, lines):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _checked(rows, previous: datetime.date | None = None):
-    """Features, next closes, targets and dates of dataset.csv rows.
+def _checked(rows, previous: int | None = None):
+    """Features, next closes, targets and day ordinals of dataset.csv rows.
 
     Raises ValueError saying why unless every row has eight fields, holds only
     ASCII characters other than the separators \\x1c-\\x1f, has seven numeric
     cells that parse and are finite, and has a date that comes after the one
-    before it, ``previous`` for the first row when given. The characters are
-    checked before the parse: ``np.loadtxt`` reads the separators as whitespace
-    and some non-ASCII characters as integer digits, where ``float`` and
-    ``int`` refuse them.
+    before it, the day ``previous`` for the first row when given. The characters
+    are checked before the parse: ``np.loadtxt`` reads the separators as
+    whitespace and some non-ASCII characters as integer digits, where ``float``
+    and ``int`` refuse them.
     """
     text = "".join(rows)
     width = len(LABELED_COLUMNS)
@@ -438,11 +434,11 @@ def _checked(rows, previous: datetime.date | None = None):
     finite = np.isfinite(features).all(axis=1) & np.isfinite(next_close)
     if not finite.all():
         raise ValueError(f"non-finite value in {rows[finite.argmin()].split(',')[1:7]}")
-    dates = [datetime.date.fromisoformat(row.partition(",")[0]) for row in rows]
-    ordered = dates if previous is None else [previous, *dates]
-    days = np.fromiter(map(datetime.date.toordinal, ordered), np.int64, len(ordered))
-    late = np.flatnonzero(days[1:] <= days[:-1])
+    days = np.fromiter((datetime.date.fromisoformat(row.partition(",")[0]).toordinal()
+                        for row in rows), np.int64, len(rows))
+    ordered = days if previous is None else np.insert(days, 0, previous)
+    late = np.flatnonzero(ordered[1:] <= ordered[:-1])
     if late.size:
-        i = int(late[0]) + 1
-        raise ValueError(f"date {ordered[i]} does not come after {ordered[i - 1]}")
-    return features, next_close, table["Target"].copy(), tuple(dates)
+        before, day = map(datetime.date.fromordinal, ordered[late[0]:late[0] + 2].tolist())
+        raise ValueError(f"date {day} does not come after {before}")
+    return features, next_close, table["Target"].copy(), days

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import N_FEATURES
-from .errors import TrainingDivergedError
+from .errors import TrainingDivergedError, json_number
 
 DEFAULT_ALPHA = 0.01
 DEFAULT_EPOCHS = 1000
@@ -120,13 +120,9 @@ def to_dict(model: LogisticModel) -> dict:
 
 
 def from_dict(d: dict) -> LogisticModel:
-    theta = np.asarray(d["theta"], dtype=float)
-    if theta.shape != (N_FEATURES + 1,):
-        raise ValueError(f"theta needs {N_FEATURES + 1} entries (bias first), "
-                         f"got shape {theta.shape}")
     return LogisticModel(
-        theta=theta,
-        cost_history=np.asarray(d["cost_history"], dtype=float),
-        alpha=float(d["alpha"]),
-        epochs=int(d["epochs"]),
+        theta=json_number(d["theta"], "theta", (N_FEATURES + 1,)),
+        cost_history=json_number(d["cost_history"], "cost_history", (None,)),
+        alpha=json_number(d["alpha"], "alpha"),
+        epochs=json_number(d["epochs"], "epochs", integer=True),
     )

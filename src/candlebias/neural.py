@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import N_FEATURES
-from .errors import TrainingDivergedError
+from .errors import TrainingDivergedError, json_number
 from .logistic import bce_loss, sigmoid
 
 DEFAULT_LAYER_DIMS = (5, 128, 64, 1)
@@ -52,8 +52,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(int(d["epochs"]), int(d["batch_size"]),
-                   float(d["validation_fraction"]), int(d["shuffle_seed"]))
+        return cls(json_number(d["epochs"], "config epochs", integer=True),
+                   json_number(d["batch_size"], "config batch_size", integer=True),
+                   json_number(d["validation_fraction"], "config validation_fraction"),
+                   json_number(d["shuffle_seed"], "config shuffle_seed", integer=True))
 
 
 @dataclass
@@ -203,14 +205,15 @@ def to_dict(model: NetworkModel, config: TrainConfig | None = None) -> dict:
 
 def from_dict(d: dict):
     dims = tuple(d["layer_dims"])
-    weights = [np.asarray(w, dtype=float) for w in d["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in d["biases"]]
     _check_layer_dims(dims, N_FEATURES)
-    if ([w.shape for w in weights] != list(zip(dims[1:], dims))
-            or [b.shape for b in biases] != [(k,) for k in dims[1:]]):
-        raise ValueError(f"layer_dims {list(dims)} do not match weight shapes "
-                         f"{[w.shape for w in weights]} and bias shapes "
-                         f"{[b.shape for b in biases]}")
-    model = NetworkModel(layer_dims=dims, weights=weights, biases=biases, seed=int(d["seed"]))
+    if not len(d["weights"]) == len(d["biases"]) == len(dims) - 1:
+        raise ValueError(f"layer_dims {list(dims)} need {len(dims) - 1} weight matrices and "
+                         f"bias vectors, got {len(d['weights'])} and {len(d['biases'])}")
+    weights = [json_number(w, f"layer {k} weights", shape)
+               for k, (w, shape) in enumerate(zip(d["weights"], zip(dims[1:], dims)), 1)]
+    biases = [json_number(b, f"layer {k} biases", (n,))
+              for k, (b, n) in enumerate(zip(d["biases"], dims[1:]), 1)]
+    model = NetworkModel(layer_dims=dims, weights=weights, biases=biases,
+                         seed=json_number(d["seed"], "seed", integer=True))
     config = TrainConfig.from_dict(d["config"]) if d.get("config") else None
     return model, config

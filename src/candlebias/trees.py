@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import N_FEATURES
-from .errors import TrainingDivergedError
+from .errors import TrainingDivergedError, json_number
 from .seeding import mix64
 
 DEFAULT_N_ESTIMATORS = 250
@@ -57,7 +57,8 @@ class TreeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
-        return cls(int(d["max_depth"]), int(d["min_samples_split"]), int(d["max_features"]))
+        return cls(*(json_number(d[key], f"params {key}", integer=True)
+                     for key in ("max_depth", "min_samples_split", "max_features")))
 
 
 class Tree(NamedTuple):
@@ -666,11 +667,6 @@ def node_to_dict(tree: Tree) -> dict:
     return nodes[0]
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def node_from_dict(d: dict) -> Tree:
     """A tree from its nested JSON form, numbered as grown.
 
@@ -680,20 +676,18 @@ def node_from_dict(d: dict) -> Tree:
     nodes, queue = [], [d]
     for node in queue:  # first in, first out: each split queues its left, then right child
         if "p_up" in node:
-            p_up, n = node["p_up"], node["n"]
-            if not (_is_number(p_up) and 0.0 <= p_up <= 1.0):
-                raise ValueError(f"leaf p_up must be a number in [0, 1], got {p_up!r}")
-            if type(n) is not int:
-                raise ValueError(f"leaf n must be an integer, got {n!r}")
-            nodes.append([-1, 0.0, -1, -1, float(p_up), n])
+            p_up = json_number(node["p_up"], "leaf p_up")
+            if not 0.0 <= p_up <= 1.0:
+                raise ValueError(f"leaf p_up must be in [0, 1], got {p_up!r}")
+            nodes.append([-1, 0.0, -1, -1, p_up, json_number(node["n"], "leaf n", integer=True)])
             continue
-        feature, threshold = node["feature"], node["threshold"]
-        if type(feature) is not int or not 0 <= feature < N_FEATURES:
-            raise ValueError(f"split feature must be an integer in 0..{N_FEATURES - 1}, "
-                             f"got {feature!r}")
-        if not (_is_number(threshold) and abs(threshold) <= sys.float_info.max):
-            raise ValueError(f"split threshold must be a finite number, got {threshold!r}")
-        nodes.append([feature, float(threshold), len(queue), len(queue) + 1, 0.0, 0])
+        feature = json_number(node["feature"], "split feature", integer=True)
+        if not 0 <= feature < N_FEATURES:
+            raise ValueError(f"split feature must be in 0..{N_FEATURES - 1}, got {feature!r}")
+        threshold = json_number(node["threshold"], "split threshold")
+        if not abs(threshold) <= sys.float_info.max:
+            raise ValueError(f"split threshold must be finite, got {threshold!r}")
+        nodes.append([feature, threshold, len(queue), len(queue) + 1, 0.0, 0])
         queue += (node["left"], node["right"])
     return _tree(nodes)
 
@@ -709,14 +703,15 @@ def forest_to_dict(forest: ForestModel) -> dict:
 
 
 def forest_from_dict(d: dict) -> ForestModel:
+    n_estimators = json_number(d["n_estimators"], "n_estimators", integer=True)
     if not d["trees"]:
         raise ValueError("forest has no trees")
-    if int(d["n_estimators"]) != len(d["trees"]):
-        raise ValueError(f"n_estimators {d['n_estimators']!r} but {len(d['trees'])} trees")
+    if n_estimators != len(d["trees"]):
+        raise ValueError(f"n_estimators {n_estimators!r} but {len(d['trees'])} trees")
     return ForestModel(
         trees=[node_from_dict(t) for t in d["trees"]],
         params=TreeParams.from_dict(d["params"]),
-        n_estimators=int(d["n_estimators"]),
-        seed=int(d["seed"]),
-        oob_error=None if d["oob_error"] is None else float(d["oob_error"]),
+        n_estimators=n_estimators,
+        seed=json_number(d["seed"], "seed", integer=True),
+        oob_error=None if d["oob_error"] is None else json_number(d["oob_error"], "oob_error"),
     )

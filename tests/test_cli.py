@@ -283,7 +283,7 @@ def test_train_tree_too_deep_to_recurse_exits_training(tmp_path, capsys):
     close = 100.0 + np.arange(n)
     features = np.column_stack([close, 1000.0 + np.arange(n), close, close + 1.0, close - 1.0])
     next_close = close + np.where(np.arange(n) % 2 == 0, 0.5, -0.5)
-    dates = tuple(datetime.date(2000, 1, 1) + datetime.timedelta(days=i) for i in range(n))
+    dates = datetime.date(2000, 1, 1).toordinal() + np.arange(n)
     data = tmp_path / "deep.csv"
     dataset.write_labeled_csv(dataset.LabeledDataset(
         features, next_close, (next_close > close).astype(np.int64), dates), data)
@@ -580,6 +580,11 @@ def _fnn_model(layer_dims, shapes):
                        "standardizer": {"mean": [0.0] * 5, "stddev": [1.0] * 5}})
 
 
+def _with_keys(document: str, **changed) -> str:
+    """The JSON document with the given top-level keys replaced."""
+    return json.dumps({**json.loads(document), **changed})
+
+
 # Each bad input file, by the command that reads it; every one must exit 2
 # with one line on stderr that names the file.
 BAD_INPUT_FILES = {
@@ -636,6 +641,18 @@ BAD_INPUT_FILES = {
     "dt_leaf_p_up_string": ("model", lambda ws: json.dumps(
         {**_split(1), "left": {"p_up": "0.5", "n": 2}})),
     "rf_leaf_n_string": ("model", lambda ws: _rf_model([{"p_up": 1.0, "n": "7"}])),
+    "lr_theta_strings": ("model", lambda ws: _with_keys(
+        _lr_model(_LR_THETA, 5), theta=[str(x) for x in _LR_THETA])),
+    "lr_standardizer_bool_mean": ("model", lambda ws: _lr_model(_LR_THETA, 5).replace(
+        '"mean": [0.0', '"mean": [true', 1)),
+    "fnn_bias_strings": ("model", lambda ws: _with_keys(
+        _fnn_model([5, 1], [(1, 5)]), biases=[["0.0"]])),
+    "fnn_fractional_seed": ("model", lambda ws: _with_keys(_fnn_model([5, 1], [(1, 5)]),
+                                                           seed=1.7)),
+    "rf_oob_error_string": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), oob_error="0.4")),
+    "rf_fractional_seed": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), seed=2.5)),
+    "rf_max_depth_string": ("model", lambda ws: _with_keys(
+        _rf_model([_LEAF]), params={**_TREE_PARAMS, "max_depth": "7"})),
     "raw_not_utf8": ("raw", lambda ws: b"\xff\xfe" + ws.raw.read_bytes()),
     "config_section_not_object": ("config", lambda ws: json.dumps({"lr": 5})),
     "config_split_one_fraction": ("config", lambda ws: json.dumps({"split": [0.7]})),
@@ -747,6 +764,17 @@ def test_a_write_that_fails_exits_data_with_one_line(case, trained, tmp_path, ca
     assert rc == cli.EXIT_DATA
     assert err.startswith(f"data error: cannot write {out / name}: ") and err.count("\n") == 1
     assert ".py:" not in err
+
+
+def test_a_failed_history_write_leaves_no_model_file(trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "lr_cost_history.csv").mkdir(parents=True)
+    rc = cli.main(["train", "--model", "lr", "--dataset", str(trained.dataset),
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: cannot write {out / 'lr_cost_history.csv'}: ")
+    assert not (out / "model_lr.json").exists()
 
 
 # ---------------------------------------------------------------------------

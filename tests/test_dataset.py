@@ -302,7 +302,7 @@ def test_standardizer_uses_population_stddev():
                          [4.0, 25.0, 4.0, 5.0, 3.5]])
     next_close = np.array([3.0, 2.0, 4.0, 5.0])
     targets = (next_close > features[:, 0]).astype(np.int64)
-    dates = tuple(datetime.date(2020, 1, 1) + datetime.timedelta(days=i) for i in range(4))
+    dates = datetime.date(2020, 1, 1).toordinal() + np.arange(4)
     ds = LabeledDataset(features, next_close, targets, dates)
     std = fit_standardizer(_train_rows(ds, 0.5, 0.25))  # train = first 2 rows
     assert std.mean[0] == 2.0 and std.stddev[0] == 1.0
@@ -384,7 +384,7 @@ def test_labeled_csv_round_trip(tmp_path):
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.next_close, ds.next_close)
     assert np.array_equal(back.targets, ds.targets)
-    assert back.dates == ds.dates
+    assert np.array_equal(back.dates, ds.dates)
 
 
 def test_write_labeled_csv_matches_a_row_by_row_writer(tmp_path):
@@ -396,9 +396,10 @@ def test_write_labeled_csv_matches_a_row_by_row_writer(tmp_path):
     with open(reference, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABELED_COLUMNS)
-        for i, date in enumerate(ds.dates):
+        for i, day in enumerate(ds.dates.tolist()):
             close, volume, open_, high, low = ds.features[i]
-            writer.writerow([date.isoformat(), open_, high, low, close, volume,
+            writer.writerow([datetime.date.fromordinal(day).isoformat(), open_, high, low,
+                             close, volume,
                              ds.next_close[i], int(ds.targets[i])])
     assert path.read_bytes() == reference.read_bytes()
 
@@ -478,7 +479,7 @@ def _reference_read_labeled_csv(path) -> LabeledDataset:
             features=np.array(rows, dtype=float),
             next_close=np.array(nexts, dtype=float),
             targets=np.array(targets, dtype=np.int64),
-            dates=tuple(dates),
+            dates=np.array([date.toordinal() for date in dates], dtype=np.int64),
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -496,7 +497,7 @@ def _same_dataset(a, b):
     """Equal bit for bit, array by array and date by date."""
     return (a.features.tobytes() == b.features.tobytes() and a.features.shape == b.features.shape
             and a.next_close.tobytes() == b.next_close.tobytes()
-            and np.array_equal(a.targets, b.targets) and a.dates == b.dates)
+            and np.array_equal(a.targets, b.targets) and np.array_equal(a.dates, b.dates))
 
 
 _PRICE = st.one_of(
@@ -515,12 +516,12 @@ def test_read_labeled_csv_reads_back_what_write_labeled_csv_wrote(tmp_path_facto
                                            min_size=n, max_size=n)))
     next_close = np.array(data.draw(st.lists(_PRICE, min_size=n, max_size=n)))
     gaps = data.draw(st.lists(st.integers(1, 4000), min_size=n, max_size=n))
-    dates = tuple(datetime.date(1900, 1, 1) + datetime.timedelta(days=int(d))
-                  for d in np.cumsum(gaps))
+    dates = datetime.date(1900, 1, 1).toordinal() + np.cumsum(gaps)
     ds = LabeledDataset(features, next_close, (next_close > features[:, 0]).astype(np.int64),
                         dates)
     path = tmp_path_factory.mktemp("round_trip") / "dataset.csv"
     write_labeled_csv(ds, path)
+    assert _rows_path(path).stat().st_size == 32 + 64 * n  # every dataset gets its cache
     back = read_labeled_csv(path)
     assert _same_dataset(back, ds)
     assert _same_dataset(back, _reference_read_labeled_csv(path))
@@ -682,7 +683,7 @@ def test_a_row_cache_hit_reads_what_parsing_the_csv_reads(tmp_path_factory, data
     next_close = np.array(data.draw(st.lists(_PRICE, min_size=n, max_size=n)))
     first = data.draw(st.sampled_from([1, 2]) | st.integers(1, 3_000_000))  # 1 is 0001-01-01
     gaps = data.draw(st.lists(st.integers(1, 4000), min_size=n - 1, max_size=n - 1))
-    dates = tuple(map(datetime.date.fromordinal, np.cumsum([first, *gaps]).tolist()))
+    dates = np.cumsum([first, *gaps])
     ds = LabeledDataset(features, next_close, (next_close > features[:, 0]).astype(np.int64),
                         dates)
     path = tmp_path_factory.mktemp("row_cache") / "dataset.csv"
@@ -704,7 +705,7 @@ def test_the_row_cache_holds_the_digest_then_one_record_per_row(tmp_path):
     cache = _rows_path(path).read_bytes()
     records = np.frombuffer(cache, _CACHE_RECORD, offset=32)
     assert cache[:32] == hashlib.sha256(path.read_bytes() + cache[32:]).digest()
-    assert records["Day"].tolist() == [d.toordinal() for d in ds.dates]
+    assert records["Day"].tolist() == ds.dates.tolist()
     for j, name in enumerate(dataset.FEATURE_COLUMNS):
         assert records[name].tobytes() == ds.features[:, j].astype("<f8").tobytes()
     assert records["Next"].tobytes() == ds.next_close.astype("<f8").tobytes()
@@ -729,36 +730,61 @@ def _next_close_inf(ds, i):
                    targets=(next_close > ds.features[:, 0]).astype(np.int64))
 
 
-# Datasets LabeledDataset takes and read_labeled_csv refuses, as edits of a
-# 20-row dataset, each with the line its data error names (None: no line).
+# Datasets whose dataset.csv read_labeled_csv would refuse, as edits of a
+# 20-row dataset, each with what LabeledDataset's refusal says.
 _NOT_READ_BACK = {
-    "nan_open": (lambda ds: _fields(ds, features=_with(ds.features, (3, 2), math.nan)), 5),
-    "inf_volume": (lambda ds: _fields(ds, features=_with(ds.features, (0, 1), math.inf)), 2),
-    "inf_next": (lambda ds: _next_close_inf(ds, 4), 6),
-    "date_repeated": (lambda ds: _fields(ds, dates=ds.dates[:3] + ds.dates[2:3] + ds.dates[4:]),
-                      5),
-    "date_earlier": (lambda ds: _fields(ds, dates=ds.dates[:3] + (datetime.date(1999, 1, 1),)
-                                        + ds.dates[4:]), 5),
-    "bool_targets": (lambda ds: _fields(ds, targets=ds.targets.astype(bool)), 2),
-    "datetime_dates": (lambda ds: _fields(ds, dates=tuple(
-        datetime.datetime.combine(d, datetime.time()) for d in ds.dates)), 2),
+    "nan_open": (lambda ds: _fields(ds, features=_with(ds.features, (3, 2), math.nan)),
+                 "non-finite"),
+    "inf_volume": (lambda ds: _fields(ds, features=_with(ds.features, (0, 1), math.inf)),
+                   "non-finite"),
+    "inf_next": (lambda ds: _next_close_inf(ds, 4), "non-finite"),
+    "date_repeated": (lambda ds: _fields(ds, dates=_with(ds.dates, 3, ds.dates[2])),
+                      "increasing"),
+    "date_earlier": (lambda ds: _fields(ds, dates=_with(
+        ds.dates, 3, datetime.date(1999, 1, 1).toordinal())), "increasing"),
+    "date_before_year_one": (lambda ds: _fields(ds, dates=ds.dates - ds.dates[0]), "years 1"),
+    "date_after_year_9999": (lambda ds: _fields(ds, dates=_with(
+        ds.dates, -1, datetime.date.max.toordinal() + 1)), "years 1"),
+    "float_dates": (lambda ds: _fields(ds, dates=ds.dates.astype(float)), "int64"),
+    "bool_targets": (lambda ds: _fields(ds, targets=ds.targets.astype(bool)), "integers"),
     "empty": (lambda ds: _fields(ds, features=ds.features[:0], next_close=ds.next_close[:0],
-                                 targets=ds.targets[:0], dates=()), None),
+                                 targets=ds.targets[:0], dates=ds.dates[:0]), "empty"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_NOT_READ_BACK))
-def test_a_dataset_that_does_not_read_back_gets_no_cache(case, tmp_path, capsys):
-    edit, line = _NOT_READ_BACK[case]
-    ds = LabeledDataset(**edit(_dataset(20)))
+def test_a_dataset_that_does_not_read_back_gets_no_cache(case, tmp_path):
+    # LabeledDataset refuses it, so neither a dataset.csv nor a cache is written.
+    edit, message = _NOT_READ_BACK[case]
+    with pytest.raises(ValueError, match=message):
+        write_labeled_csv(LabeledDataset(**edit(_dataset(20))), tmp_path / "dataset.csv")
+    assert not any(tmp_path.iterdir())
+
+
+# Edits of a written dataset.csv's lines (index 0 the header) to what no
+# LabeledDataset writes, each with the line its data error names (None: no line).
+_NOT_WRITTEN = {
+    "bool_target": (lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + ",True"]
+                    + lines[2:], 2),
+    "datetime_date": (lambda lines: lines[:1] + ["2020-01-01T00:00:00" + lines[1][10:]]
+                      + lines[2:], 2),
+    "header_only": (lambda lines: lines[:1], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_WRITTEN))
+def test_a_dataset_csv_that_no_dataset_writes_names_its_line(case, tmp_path, capsys):
+    edit, line = _NOT_WRITTEN[case]
     path = tmp_path / "dataset.csv"
-    write_labeled_csv(ds, path)
-    assert not _rows_path(path).exists()
+    write_labeled_csv(_dataset(20), path)
+    path.write_text("".join(f"{text}\r\n" for text in edit(path.read_text().splitlines())))
 
     expected = _read_or_error(_reference_read_labeled_csv, path)
     got = _read_or_error(read_labeled_csv, path)
     assert isinstance(got, str) and _line_named(got, path) == line
     assert _line_named(expected, path) == line
+    if line is None:
+        assert got == expected == f"{path}: empty labeled dataset"
     rc = cli.main(["train", "--model", "dt", "--dataset", str(path), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_DATA and err == f"data error: {got}\n"
