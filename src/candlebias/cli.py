@@ -343,10 +343,6 @@ def cmd_prepare(config: RunConfig, args) -> int:
     ds = dataset.label(*candles)
     split = dataset.split_chronological(len(ds), config.train_frac, config.val_frac)
 
-    _make_out_dir(config)
-    csv_path = config.out_dir / "dataset.csv"
-    dataset.write_labeled_csv(ds, csv_path)
-
     n_up = int(ds.targets.sum())
     summary = {
         "securities_code": config.securities_code,
@@ -359,9 +355,14 @@ def cmd_prepare(config: RunConfig, args) -> int:
                           "prevalence": n_up / len(ds)},
         "split": split.as_dict(),
     }
+    # dataset.csv, which later commands read, is written last: a failed
+    # summary write leaves no fresh dataset behind
+    _make_out_dir(config)
     summary_path = config.out_dir / "dataset_summary.json"
     with writing(summary_path):
         summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    csv_path = config.out_dir / "dataset.csv"
+    dataset.write_labeled_csv(ds, csv_path)
     print(f"wrote {csv_path} ({len(ds)} rows) and {summary_path}")
     return EXIT_OK
 

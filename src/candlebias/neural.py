@@ -7,6 +7,13 @@ given the init seed, the shuffle seed and the data.
 
 Scoring computes one layer at a time, in place, and keeps no pre-activations;
 backward gates each hidden delta on its activation (max(0, z) > 0 iff z > 0).
+forward scores its rows in blocks that start at multiples of _SCORE_ROWS, the
+remainder joining the last block, so a block holds _SCORE_ROWS to
+2 * _SCORE_ROWS - 1 rows (a shorter call is one block) and scoring memory does
+not grow with the rows. BLAS can give a row other bits in a very small call, or
+among the last few rows of a call, than inside a longer one; blocks this large,
+whose inner edges fall on multiples of _SCORE_ROWS and whose last one ends where
+the call ends, give every row the bits of one pass over all of the call's rows.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .logistic import bce_loss, sigmoid
 
 DEFAULT_LAYER_DIMS = (5, 128, 64, 1)
 LEARNING_RATE, BETA1, BETA2, EPSILON = 0.001, 0.9, 0.999, 1e-8  # Adam's defaults
+_SCORE_ROWS = 1024  # rows per forward block; never smaller, or the bits can change
 
 
 @dataclass
@@ -88,10 +96,17 @@ def _activations(model: NetworkModel, X: np.ndarray):
 
 
 def forward(model: NetworkModel, X: np.ndarray) -> np.ndarray:
-    """Probabilities for a batch of rows, holding two consecutive layers at most."""
-    for a in _activations(model, X):
-        pass
-    return a[:, 0]
+    """Probabilities for a batch of rows, scored in blocks of _SCORE_ROWS to
+    2 * _SCORE_ROWS - 1 rows, holding two consecutive layers of one block at most."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    p = np.empty(len(X))
+    starts = range(0, max(len(X) // _SCORE_ROWS, 1) * _SCORE_ROWS, _SCORE_ROWS)
+    stops = [*starts[1:], len(X)]
+    for start, stop in zip(starts, stops):
+        for a in _activations(model, X[start:stop]):
+            pass
+        p[start:stop] = a[:, 0]
+    return p
 
 
 def backward(model: NetworkModel, X: np.ndarray, y: np.ndarray):

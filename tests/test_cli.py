@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candlebias import cli, dataset, trees
+from candlebias import cli, dataset, neural, trees
 
 from conftest import synthetic_candles, write_raw_csv
 
@@ -361,6 +361,26 @@ def test_evaluate_model_flag_refuses_a_file_holding_another_model(trained, tmp_p
     assert rc == cli.EXIT_DATA
     assert err == f"data error: model file {out / 'model_lr.json'}: holds a DT model, not LR\n"
     assert sorted(p.name for p in out.iterdir()) == ["model_lr.json"]
+
+
+def test_evaluate_fnn_in_blocks_writes_the_one_pass_report(tmp_path, monkeypatch):
+    # 98% of 2,499 rows are scored: more than two blocks, the last one longer
+    out = tmp_path / "out"
+    raw = write_raw_csv(tmp_path / "raw.csv", synthetic_candles(2500, seed=7))
+    config = tmp_path / "fast.json"
+    config.write_text(json.dumps(FAST_CONFIG))
+    assert cli.main(["prepare", "--data", str(raw), "--out", str(out)]) == 0
+    assert cli.main(["train", "--model", "fnn", "--config", str(config), "--out", str(out)]) == 0
+    block = neural._SCORE_ROWS
+    reports = []
+    for score_rows in (block, 10**9):
+        monkeypatch.setattr(neural, "_SCORE_ROWS", score_rows)
+        assert cli.main(["evaluate", "--model", "fnn", "--split", "0.01,0.01",
+                         "--eval-split", "test", "--format", "json", "--out", str(out)]) == 0
+        reports.append((out / "report_fnn_test.json").read_bytes())
+    m = json.loads(reports[0])["models"][0]
+    assert m["tp"] + m["fp"] + m["tn"] + m["fn"] > 2 * block
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", [["evaluate", "--model", "lr"], ["compare"]])
@@ -775,6 +795,17 @@ def test_a_failed_history_write_leaves_no_model_file(trained, tmp_path, capsys):
     assert rc == cli.EXIT_DATA
     assert err.startswith(f"data error: cannot write {out / 'lr_cost_history.csv'}: ")
     assert not (out / "model_lr.json").exists()
+
+
+def test_a_failed_summary_write_leaves_no_dataset(trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "dataset_summary.json").mkdir(parents=True)
+    rc = cli.main(["prepare", "--data", str(trained.raw), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: cannot write {out / 'dataset_summary.json'}: ")
+    assert err.count("\n") == 1
+    assert not (out / "dataset.csv").exists() and not (out / "dataset.csv.rows").exists()
 
 
 # ---------------------------------------------------------------------------

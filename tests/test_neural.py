@@ -107,6 +107,33 @@ def test_forward_holds_two_consecutive_layers_at_most():
     assert peak < 1.25 * 4000 * (128 + 64) * 8
 
 
+@pytest.mark.parametrize("n", [12_000, 24_000])
+def test_forward_memory_does_not_grow_with_rows(n):
+    # a block holds fewer than 2 * _SCORE_ROWS rows, so its two hidden layers
+    # stay under two blocks' worth whatever n is; only the output grows
+    model = init_network(3)
+    X = np.random.default_rng(5).standard_normal((n, 5))
+    tracemalloc.start()
+    try:
+        forward(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * neural._SCORE_ROWS * (128 + 64) * 8 + n * 8
+
+
+@pytest.mark.parametrize("layer_dims", [(5, 128, 64, 1), (5, 7, 3, 1)])
+def test_forward_in_blocks_keeps_the_one_pass_bits(layer_dims):
+    # the blocks start at multiples of _SCORE_ROWS and the remainder joins the
+    # last one, so n below 2 * _SCORE_ROWS is one pass and the rest are split
+    model = init_network(3, layer_dims)
+    for n in (1, 31, 1023, 1024, 1025, 2047, 2048, 2049, 2079, 4113, 11761, 20003):
+        X = np.random.default_rng(n).standard_normal((n, 5))
+        for a in neural._activations(model, X):
+            pass
+        assert np.array_equal(forward(model, X), a[:, 0]), n
+
+
 # ---------------------------------------------------------------------------
 # forward and backward against a pass that keeps every layer
 
