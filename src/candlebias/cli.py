@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -257,28 +256,32 @@ MODELS = {
 MODEL_NAMES = tuple(MODELS)
 
 
-def _train_and_save(name: str, ds: dataset.LabeledDataset, train: range, config: RunConfig):
-    """Fit one model on rows train; write its history CSV, then its model file,
-    so a failed write leaves no fresh model file; return (doc, paths), model first."""
+def _fit(name: str, ds: dataset.LabeledDataset, train: range, config: RunConfig):
+    """Fit one model on rows train and check its document as a model file is
+    checked, writing nothing; return (loaded model, JSON text, history columns)."""
     spec = MODELS[name]
-    X, y = ds.rows(train), ds.labels(train)
     try:
         with np.errstate(all="ignore"):  # a diverging fit shows as a non-finite cost
-            doc, history = spec.fit(X, y, config.models[name], config.model_seed(name))
-        text = json.dumps(doc)
+            doc, history = spec.fit(ds.rows(train), ds.labels(train), config.models[name],
+                                    config.model_seed(name))
+        return spec.load(doc), json.dumps(doc), history
     except (ValueError, TrainingDivergedError, RecursionError,  # too deep to nest
             MemoryError) as exc:  # a config asking for more than the address space
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
 
+
+def _save(name: str, text: str, history, config: RunConfig) -> list:
+    """Write a fitted model's history CSV, then its model file, so a failed
+    write leaves no fresh model file; return the paths written, model first."""
     _make_out_dir(config)
     written = [config.out_dir / f"model_{name}.json"]
-    if spec.history_file:
-        written.append(config.out_dir / spec.history_file)
+    if MODELS[name].history_file:
+        written.append(config.out_dir / MODELS[name].history_file)
         with writing(written[-1]):
             metrics.write_history_csv(written[-1], history)
     with writing(written[0]):
         written[0].write_text(text + "\n", encoding="utf-8")
-    return doc, written
+    return written
 
 
 def detect_model_kind(doc) -> str:
@@ -289,22 +292,14 @@ def detect_model_kind(doc) -> str:
     raise DataError("unrecognized model file format")
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
-
-
 def _load_model(path: Path):
     """Read and decode a model file; returns (model name, model).
 
     Every unreadable or malformed file raises DataError naming the file, and
-    so does a NaN, an Infinity or a number too large for a float.
+    so does a number it reads that is NaN, infinite or too large for a float.
     """
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"),
-                         parse_float=_finite_float, parse_constant=_finite_float)
+        doc = json.loads(path.read_text(encoding="utf-8"))
         name = detect_model_kind(doc)
         return name, MODELS[name].load(doc)
     except KeyError as exc:
@@ -315,13 +310,14 @@ def _load_model(path: Path):
 
 
 def _score(name: str, model, ds: dataset.LabeledDataset, rng: range, path: Path):
-    """Score a loaded model on rows rng; a scoring fault names path, its model file."""
+    """Score a loaded model on rows rng: (report, predicted labels); a scoring
+    fault names path, its model file."""
     y = ds.labels(rng)
     try:
         y_pred, loss = MODELS[name].score(model, ds.rows(rng), y)
     except DataError as exc:
         raise DataError(f"model file {path}: {exc}") from exc
-    return metrics.evaluate(MODELS[name].label, y, y_pred, loss=loss)
+    return metrics.evaluate(MODELS[name].label, y, y_pred, loss=loss), y_pred
 
 
 def _write_report(config: RunConfig, stem: str, text: str) -> Path:
@@ -369,7 +365,8 @@ def cmd_prepare(config: RunConfig, args) -> int:
 
 def cmd_train(config: RunConfig, args) -> int:
     ds, split = _load_split_dataset(config, args)
-    _, written = _train_and_save(args.model, ds, split.train, config)
+    _, text, history = _fit(args.model, ds, split.train, config)
+    written = _save(args.model, text, history, config)
     print(f"trained {args.model}: " + ", ".join(str(p) for p in written))
     return EXIT_OK
 
@@ -382,7 +379,7 @@ def cmd_evaluate(config: RunConfig, args) -> int:
     if args.model and name != args.model:
         raise DataError(f"model file {model_path}: holds a {MODELS[name].label} model, "
                         f"not {MODELS[args.model].label}")
-    report = _score(name, model, ds, getattr(split, args.eval_split), model_path)
+    report, _ = _score(name, model, ds, getattr(split, args.eval_split), model_path)
 
     text = metrics.render([report], config.report_format, metadata={"split": args.eval_split})
     _make_out_dir(config)
@@ -397,11 +394,11 @@ def cmd_compare(config: RunConfig, args) -> int:
                   for name in MODEL_NAMES}
 
     reports = []
-    for name in MODEL_NAMES:  # load(doc): evaluate's checks and scorer, no file read back
-        doc, written = _train_and_save(name, ds, split.train, config)
-        reports.append(_score(name, MODELS[name].load(doc), ds,
-                              getattr(split, eval_split[name]), written[0]))
-        del doc  # hold one model document at a time
+    for name in MODEL_NAMES:  # each fitted model scored as evaluate scores its file
+        model, text, history = _fit(name, ds, split.train, config)
+        path = _save(name, text, history, config)[0]
+        reports.append(_score(name, model, ds, getattr(split, eval_split[name]), path)[0])
+        del model, text, history  # hold one model at a time
 
     metadata = {
         "securities_code": config.securities_code,

@@ -263,12 +263,15 @@ def split_chronological(n: int, train_frac: float, val_frac: float) -> SplitRang
 
 
 def fit_standardizer(train: np.ndarray) -> Standardizer:
-    """Per-column mean and population stddev of the train rows."""
-    mean = train.mean(axis=0)
-    stddev = train.std(axis=0)
-    if np.any(stddev <= 0.0):
-        bad = [FEATURE_COLUMNS[i] for i in np.nonzero(stddev <= 0.0)[0]]
-        raise DataError(f"constant train column(s) {bad}: stddev is zero")
+    """Per-column mean and population stddev of the train rows, finite and stddev positive."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mean, stddev = train.mean(axis=0), train.std(axis=0)
+    finite = np.isfinite(mean) & np.isfinite(stddev)
+    for bad, why in ((~finite, "mean or stddev overflows the float range"),
+                     (stddev <= 0.0, "stddev is zero")):
+        if bad.any():
+            columns = [FEATURE_COLUMNS[i] for i in np.flatnonzero(bad)]
+            raise DataError(f"train column(s) {columns}: {why}")
     return Standardizer(mean=mean, stddev=stddev)
 
 

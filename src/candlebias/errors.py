@@ -23,24 +23,27 @@ def writing(path):
 
 
 def json_number(value, name: str, shape: tuple = (), integer: bool = False):
-    """value, a number read from JSON or nested lists of them, as a model keeps it.
+    """value, a finite number read from JSON or nested lists of them, as a model keeps it.
 
     Every entry must be of type int, or float unless ``integer``, as json.loads
-    gives them: a bool or a string is refused. ``shape`` gives the length of
-    each level of lists, None for any. A scalar comes back as a float, or as
-    the int itself (a seed keeps all 64 bits); lists come back as a float
-    array. Anything else raises ValueError naming ``name``.
+    gives them: a bool, a string, a NaN or an infinity (json.loads reads
+    ``1e400`` as one) is refused. ``shape`` gives the length of each level of
+    lists, None for any. A scalar comes back as a float, or as the int itself
+    (a seed keeps all 64 bits); lists come back as a float array. Anything
+    else raises ValueError naming ``name``.
     """
     if not shape:
-        if type(value) is int or (type(value) is float and not integer):
+        if type(value) is int or (type(value) is float and not integer
+                                  and -np.inf < value < np.inf):
             return value if integer else float(value)
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}, "
                          f"got {value!r}")
     array = np.array(value, dtype=object)
     if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
-    bad = [x for x in array.flat if type(x) is not int and (integer or type(x) is not float)]
+    bad = [x for x in array.flat if type(x) is not int and (
+        integer or type(x) is not float or not -np.inf < x < np.inf)]
     if bad:
-        raise ValueError(f"{name} must hold only {'integers' if integer else 'numbers'}, "
+        raise ValueError(f"{name} must hold only {'integers' if integer else 'finite numbers'}, "
                          f"got {bad[0]!r}")
     return array.astype(float)

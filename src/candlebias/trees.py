@@ -26,7 +26,6 @@ import functools
 import os
 import pickle
 import signal
-import sys
 import warnings
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -685,8 +684,6 @@ def node_from_dict(d: dict) -> Tree:
         if not 0 <= feature < N_FEATURES:
             raise ValueError(f"split feature must be in 0..{N_FEATURES - 1}, got {feature!r}")
         threshold = json_number(node["threshold"], "split threshold")
-        if not abs(threshold) <= sys.float_info.max:
-            raise ValueError(f"split threshold must be finite, got {threshold!r}")
         nodes.append([feature, threshold, len(queue), len(queue) + 1, 0.0, 0])
         queue += (node["left"], node["right"])
     return _tree(nodes)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candlebias import cli, dataset, neural, trees
+from candlebias import cli, dataset, logistic, neural, trees
 
 from conftest import synthetic_candles, write_raw_csv
 
@@ -245,6 +245,39 @@ def test_train_diverging_fit_prints_one_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("training error: cannot train lr: non-finite cost")
+
+
+@pytest.mark.parametrize("command", [["train", "--model", "lr"], ["compare"]])
+def test_a_fitted_document_its_loader_refuses_exits_training(command, workspace, tmp_path,
+                                                             monkeypatch, capsys):
+    to_dict = logistic.to_dict  # looked up when LR is fitted, so the patch reaches it
+    monkeypatch.setattr(logistic, "to_dict", lambda model: {
+        **to_dict(model), "theta": [float("inf")] + model.theta.tolist()[1:]})
+    out = tmp_path / "out"
+    rc = cli.main(command + ["--config", str(workspace.config),
+                             "--dataset", str(workspace.dataset), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_TRAINING
+    assert err.startswith("training error: cannot train lr: theta ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train", "--model", "lr"], ["train", "--model", "fnn"],
+                                     ["compare"]])
+def test_an_overflowing_train_column_exits_data(command, workspace, tmp_path, capsys):
+    # Volume alternates 1.0 and 1e200, so its squared deviations overflow.
+    header, *rows = workspace.dataset.read_text().splitlines()
+    data = tmp_path / "dataset.csv"
+    data.write_text("\n".join([header] + [
+        ",".join(f[:5] + [("1.0", "1e200")[i % 2]] + f[6:])
+        for i, f in enumerate(row.split(",") for row in rows)]) + "\n")
+    out = tmp_path / "out"
+    rc = cli.main(command + ["--config", str(workspace.config),
+                             "--dataset", str(data), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == ("data error: train column(s) ['Volume']: "
+                                       "mean or stddev overflows the float range\n")
+    assert not out.exists()
 
 
 def _fail(kind):
@@ -482,6 +515,17 @@ def test_compare_matches_individual_train_and_evaluate(workspace, tmp_path):
         solo = json.loads((solo_out / f"report_{name}_{splits[label]}.json").read_text())
         assert solo["models"] == [m for m in combined["models"] if m["model"] == label]
 
+    # The model that fitting checks predicts, row by row, what its saved file does.
+    args = cli._build_parser().parse_args(["compare", "--out", str(cmp_out)] + common)
+    config = cli._merge_config(args)
+    ds, split = cli._load_split_dataset(config, args)
+    for name in cli.MODEL_NAMES:
+        path, scored = cmp_out / f"model_{name}.json", getattr(split, splits[name.upper()])
+        fitted = cli._score(name, cli._fit(name, ds, split.train, config)[0], ds, scored, path)
+        saved = cli._score(*cli._load_model(path), ds, scored, path)
+        np.testing.assert_array_equal(fitted[1], saved[1])
+        assert fitted[0] == saved[0]
+
 
 def test_compare_scores_without_reading_its_model_files(workspace, tmp_path, monkeypatch):
     def read_back(path):
@@ -669,6 +713,14 @@ BAD_INPUT_FILES = {
         _fnn_model([5, 1], [(1, 5)]), biases=[["0.0"]])),
     "fnn_fractional_seed": ("model", lambda ws: _with_keys(_fnn_model([5, 1], [(1, 5)]),
                                                            seed=1.7)),
+    "lr_cost_history_overflows_float": ("model", lambda ws: _lr_model(_LR_THETA, 5).replace(
+        '"cost_history": [0.5]', '"cost_history": [1e400]', 1)),
+    "rf_oob_error_nan": ("model", lambda ws: _rf_model([_LEAF]).replace(
+        '"oob_error": null', '"oob_error": NaN', 1)),
+    "fnn_validation_fraction_infinity": ("model", lambda ws: _with_keys(
+        _fnn_model([5, 1], [(1, 5)]), config={"epochs": 1, "batch_size": 2,
+                                              "validation_fraction": float("inf"),
+                                              "shuffle_seed": 0})),
     "rf_oob_error_string": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), oob_error="0.4")),
     "rf_fractional_seed": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), seed=2.5)),
     "rf_max_depth_string": ("model", lambda ws: _with_keys(

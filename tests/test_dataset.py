@@ -319,6 +319,16 @@ def test_standardizer_constant_column_errors():
         fit_standardizer(_train_rows(ds, 0.5, 0.25))
 
 
+def test_standardizer_overflowing_columns_error_without_a_warning():
+    ds = _dataset(40)
+    features = ds.features.copy()
+    features[::2, 1] = 1e200  # Volume's squared deviations overflow
+    features[:, 2] = 1.7e308  # Open's sum overflows
+    ds = LabeledDataset(features, ds.next_close.copy(), ds.targets.copy(), ds.dates)
+    with pytest.raises(DataError, match=r"\['Volume', 'Open'\]: mean or stddev overflows"):
+        fit_standardizer(_train_rows(ds, 0.5, 0.25))
+
+
 def test_standardizer_depends_only_on_train_rows(tmp_path):
     # Scaling non-close columns outside the train range leaves model_lr.json,
     # standardizer included, byte for byte the same.
