@@ -6,7 +6,8 @@ Subcommands
     train     fit lr | dt | rf | fnn on the prepared dataset's train range
     evaluate  score a saved model file (--model or --model-file) on a dataset split
     compare   train all four models and emit one combined report, scoring each
-              fitted document as evaluate scores a file, without reading it back
+              fitted document as evaluate scores a file, without reading it back;
+              it writes nothing unless all four fit and score
 
 Exit statuses: 0 success, 1 usage error, 2 data error (a file that cannot be
 read or written included), 3 training error. A library warning (an undefined
@@ -393,12 +394,15 @@ def cmd_compare(config: RunConfig, args) -> int:
     eval_split = {name: "test" if (args.eval_all_test or name == "fnn") else "validation"
                   for name in MODEL_NAMES}
 
-    reports = []
+    reports, fitted = [], []
     for name in MODEL_NAMES:  # each fitted model scored as evaluate scores its file
         model, text, history = _fit(name, ds, split.train, config)
-        path = _save(name, text, history, config)[0]
+        path = config.out_dir / f"model_{name}.json"
         reports.append(_score(name, model, ds, getattr(split, eval_split[name]), path)[0])
-        del model, text, history  # hold one model at a time
+        fitted.append((name, text, history))
+        del model  # one loaded model at a time; of the others only text and history
+    for name, text, history in fitted:  # nothing is written unless all four fit and score
+        _save(name, text, history, config)
 
     metadata = {
         "securities_code": config.securities_code,

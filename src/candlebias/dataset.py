@@ -1,18 +1,17 @@
 """OHLCV ingestion, next-day direction labeling, chronological splits, scaling.
 
-The feature matrix column order is fixed package-wide as
-(Close, Volume, Open, High, Low); every model module consumes this order.
-Dates are kept, as day ordinals, only for ordering and split bookkeeping,
-never as a feature.
+The feature matrix column order is fixed package-wide as (Close, Volume,
+Open, High, Low); every model module consumes this order. Dates are kept, as
+day ordinals, only for ordering and split bookkeeping, never as a feature.
 
 Beside each dataset.csv it writes, write_labeled_csv always puts a binary row
 cache, dataset.csv.rows: a sha256 digest of the CSV's bytes and the records,
 then one little-endian record (date ordinal, the seven numbers) per row. Every
 LabeledDataset reads back from its CSV, whose repr floats and ISO dates
 round-trip exactly, so the records are what parsing the CSV gives.
-read_labeled_csv takes the rows from the cache when the digest matches the CSV
-it has just read, and otherwise parses the CSV: the cache is never required,
-and a stale or damaged one is ignored.
+read_labeled_csv takes the records from the cache when the digest matches the
+CSV it has just read, and otherwise parses the CSV into records, one line at a
+time: the cache is never required, and a stale or damaged one is ignored.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import hashlib
 import io
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +33,14 @@ FEATURE_COLUMNS = ("Close", "Volume", "Open", "High", "Low")
 N_FEATURES = len(FEATURE_COLUMNS)
 REQUIRED_COLUMNS = ("Date", "SecuritiesCode", "Open", "High", "Low", "Close", "Volume")
 LABELED_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Volume", "Next", "Target")
-# One record per dataset.csv row: every column but the date, under its own name.
-_ROW = np.dtype([(name, "<f8") for name in LABELED_COLUMNS[1:-1]]
-                + [(LABELED_COLUMNS[-1], "<i8")])
-# One dataset.csv.rows record: the row's date as its proleptic ordinal, then _ROW.
-_RECORD = np.dtype([("Day", "<i8"), *_ROW.descr])
+# A dataset.csv.rows record, and a parsed row: the date's ordinal, then the other columns.
+_RECORD = np.dtype([("Day", "<i8"), *((name, "<f8") for name in LABELED_COLUMNS[1:-1]),
+                    (LABELED_COLUMNS[-1], "<i8")])
 _DIGEST_SIZE = hashlib.sha256().digest_size
 # The ordinals of datetime64's day 0 and of the last date an ISO date string can hold.
 _EPOCH, _LAST_DAY = datetime.date(1970, 1, 1).toordinal(), datetime.date.max.toordinal()
 _BLANK = ("\r\n", "\n", "\r")  # the lines csv.reader reads as empty rows
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_REFUSED = re.compile(r"[^\x00-\x1b\x20-\x7f]")  # non-ASCII and the separators \x1c-\x1f
 # Rows per write_labeled_csv block: whole columns of Python floats for a 12k-row
 # history stayed resident after the write and raised the peak RSS of what followed.
 _WRITE_BLOCK = 1024
@@ -326,14 +324,10 @@ def _csv_blocks(ds: LabeledDataset):
 def read_labeled_csv(path) -> LabeledDataset:
     """Read a labeled CSV written by :func:`write_labeled_csv`.
 
-    The file is read once. When its row cache ``<path>.rows`` is bound to
-    those bytes by its digest, the rows come from the cache. Otherwise the
-    non-blank lines are checked and parsed at once, their seven numeric
-    cells in one ``np.loadtxt`` pass. A row without eight fields, with a cell
-    that does not parse or is not finite, or whose date does not come after
-    the one before raises DataError naming the file and the line, blank lines
-    counted: a damaged file is checked again line by line by the same checks,
-    at about one ``loadtxt`` call per line up to the fault.
+    The file is read once. When its row cache ``<path>.rows`` is bound to those
+    bytes by its digest, the records come from the cache; otherwise each
+    non-blank line is checked and converted once. A faulty row raises DataError
+    naming the file and the line, blank lines counted.
     """
     try:
         with open(path, "rb") as fh:
@@ -343,21 +337,13 @@ def read_labeled_csv(path) -> LabeledDataset:
 
     records = _cached_records(path, raw)
     if records is None:
-        try:  # split and decoded as a text-mode open() would, with the same errors
-            lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="").readlines()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        records = _parsed(path, raw)
     del raw  # as large as the file: not kept while the columns are built
-    if records is None:
-        columns = _parsed(path, lines)
-    else:
-        columns = (np.stack([records[name] for name in FEATURE_COLUMNS], axis=1,
-                            dtype=np.float64),
-                   records["Next"].astype(np.float64), records["Target"].astype(np.int64),
-                   records["Day"].astype(np.int64))
-
     try:
-        return LabeledDataset(*columns)
+        return LabeledDataset(
+            np.stack([records[name] for name in FEATURE_COLUMNS], axis=1, dtype=np.float64),
+            records["Next"].astype(np.float64), records["Target"].astype(np.int64),
+            records["Day"].astype(np.int64))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -378,70 +364,59 @@ def _cached_records(path, raw: bytes):
     return records if digest.digest() == stored else None
 
 
-def _parsed(path, lines):
-    """Features, next closes, targets and day ordinals of dataset.csv's lines.
-
-    Raises DataError naming path, and the first faulty line where one line
-    is at fault.
-    """
+def _parsed(path, raw: bytes) -> np.ndarray:
+    """The records of dataset.csv's bytes; DataError names path and any faulty line."""
+    try:  # split and decoded as a text-mode open() would, with the same errors
+        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="").readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     try:
         header = tuple(next(csv.reader(lines[:1]), ()))
     except csv.Error as exc:
         raise DataError(f"{path}, line 1: {exc}") from exc
     if header != LABELED_COLUMNS:
         raise DataError(f"{path}: expected columns {LABELED_COLUMNS}, got {header}")
-    rows = [line for line in lines[1:] if line not in _BLANK]
+    rows = [(number, line) for number, line in enumerate(lines[1:], 2) if line not in _BLANK]
     if not rows:
         raise DataError(f"{path}: empty labeled dataset")
+    records = np.empty(len(rows), _RECORD)
+    for i, (number, line) in enumerate(rows):
+        try:
+            records[i] = _record(line, records[i - 1]["Day"] if i else 0)
+        except ValueError as exc:
+            raise DataError(f"{path}, line {number}: {exc}") from exc
+    return records
 
+
+def _record(line: str, previous: int) -> tuple:
+    """The record of one dataset.csv line. Raises ValueError saying why unless,
+    checked in this order, it has eight fields, holds only ASCII characters
+    other than the separators \\x1c-\\x1f (which float and int read as
+    whitespace), has seven numeric cells that parse and are finite, and has a
+    date after the day ordinal ``previous``."""
+    cells = line.rstrip("\r\n").split(",")  # not csv.reader: no field size limit
+    if len(cells) != len(LABELED_COLUMNS):
+        many = "not enough" if len(cells) < len(LABELED_COLUMNS) else "too many"
+        raise ValueError(f"{many} values: {len(cells)} fields, expected {len(LABELED_COLUMNS)}")
+    refused = _REFUSED.search(line)
+    if refused:
+        raise ValueError(f"character {refused[0]!r} is not allowed")
+    numbers = [_number(cell, float) for cell in cells[1:7]] + [_number(cells[7], int)]
+    if not all(map(math.isfinite, numbers[:6])):
+        raise ValueError(f"non-finite value in {cells[1:7]}")
+    date = datetime.date.fromisoformat(cells[0])
+    if date.toordinal() <= previous:
+        raise ValueError(f"date {date} does not come after {datetime.date.fromordinal(previous)}")
+    return (date.toordinal(), *numbers)
+
+
+def _number(cell: str, kind):
+    """kind(cell) for kind float or int, refusing the underscores both read
+    (1_000) and an int outside int64; neither reads a quoted cell."""
     try:
-        return _checked(rows)
-    except ValueError as exc:
-        previous = None
-        for number, line in enumerate(lines[1:], 2):
-            if line in _BLANK:
-                continue
-            try:
-                previous = _checked([line], previous)[-1][0]
-            except ValueError as fault:  # loadtxt's message also names row 0 of this one row
-                raise DataError(f"{path}, line {number}: "
-                                f"{str(fault).partition(' at row ')[0]}") from fault
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _checked(rows, previous: int | None = None):
-    """Features, next closes, targets and day ordinals of dataset.csv rows.
-
-    Raises ValueError saying why unless every row has eight fields, holds only
-    ASCII characters other than the separators \\x1c-\\x1f, has seven numeric
-    cells that parse and are finite, and has a date that comes after the one
-    before it, the day ``previous`` for the first row when given. The characters
-    are checked before the parse: ``np.loadtxt`` reads the separators as
-    whitespace and some non-ASCII characters as integer digits, where ``float``
-    and ``int`` refuse them.
-    """
-    text = "".join(rows)
-    width = len(LABELED_COLUMNS)
-    if text.count(",") != (width - 1) * len(rows):
-        fields = next(n for n in (row.count(",") + 1 for row in rows) if n != width)
-        many = "not enough" if fields < width else "too many"
-        raise ValueError(f"{many} values: {fields} fields, expected {width}")
-    if not text.isascii() or any(sep in text for sep in _SEPARATORS):
-        bad = next(c for c in text if not c.isascii() or c in _SEPARATORS)
-        raise ValueError(f"character {bad!r} is not allowed")
-    del text  # as large as the file: not kept through the parse
-    table = np.loadtxt(rows, dtype=_ROW, delimiter=",", usecols=range(1, 8), comments=None,
-                       ndmin=1)
-    features = np.stack([table[name] for name in FEATURE_COLUMNS], axis=1)
-    next_close = table["Next"].copy()
-    finite = np.isfinite(features).all(axis=1) & np.isfinite(next_close)
-    if not finite.all():
-        raise ValueError(f"non-finite value in {rows[finite.argmin()].split(',')[1:7]}")
-    days = np.fromiter((datetime.date.fromisoformat(row.partition(",")[0]).toordinal()
-                        for row in rows), np.int64, len(rows))
-    ordered = days if previous is None else np.insert(days, 0, previous)
-    late = np.flatnonzero(ordered[1:] <= ordered[:-1])
-    if late.size:
-        before, day = map(datetime.date.fromordinal, ordered[late[0]:late[0] + 2].tolist())
-        raise ValueError(f"date {day} does not come after {before}")
-    return features, next_close, table["Target"].copy(), days
+        value = kind(cell.replace("_", ","))  # kind refuses 1,000 where it reads 1_000
+        if kind is float or -2**63 <= value < 2**63:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"could not convert string {repr(cell)[:100]} to {kind.__name__}64")

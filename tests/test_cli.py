@@ -573,6 +573,26 @@ def test_compare_writes_the_history_files_train_writes(workspace, tmp_path):
         assert data == (tmp_path / "solo" / fname).read_bytes()
 
 
+def test_a_compare_that_fails_writes_no_model_file(workspace, tmp_path):
+    # LR, DT and RF fit and score; the FNN's layer_dims is refused.
+    config = tmp_path / "bad_fnn.json"
+    config.write_text(json.dumps({**FAST_CONFIG, "lr": {"epochs": 60},
+                                  "fnn": {"epochs": 3, "layer_dims": [5, 0, 1]}}))
+    failing = ["compare", "--config", str(config), "--dataset", str(workspace.dataset)]
+    fresh = tmp_path / "fresh"
+    rc, err = _run_quietly(failing + ["--out", str(fresh)])
+    assert rc == cli.EXIT_TRAINING and err.count("\n") == 1
+    assert err.startswith("training error: cannot train fnn: layer_dims must run from 5 inputs")
+    assert not list(fresh.glob("model_*.json")) and not list(fresh.glob("*_history.csv"))
+
+    earlier = tmp_path / "earlier"
+    assert cli.main(["compare", "--config", str(workspace.config), "--dataset",
+                     str(workspace.dataset), "--out", str(earlier), "--seed", "11"]) == 0
+    left = {path.name: path.read_bytes() for path in earlier.iterdir()}
+    assert _run_quietly(failing + ["--out", str(earlier)])[0] == cli.EXIT_TRAINING
+    assert {path.name: path.read_bytes() for path in earlier.iterdir()} == left
+
+
 # ---------------------------------------------------------------------------
 # exit statuses
 
@@ -602,6 +622,24 @@ def test_flag_overrides_keep_zero_and_ignore_empty_paths():
     assert (config.securities_code, config.master_seed) == (0, 0)
     assert str(config.out_dir) == cli.DEFAULT_CONFIG["out"]
     assert (config.train_frac, config.val_frac) == tuple(cli.DEFAULT_CONFIG["split"])
+
+
+def test_readme_cli_and_modules_share_one_set_of_default_hyperparameters():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = json.loads(readme.split("```json\n")[1].split("```")[0])
+    del documented["data"]  # an example path: the default is none
+    assert documented == {key: value for key, value in cli.DEFAULT_CONFIG.items()
+                          if key != "data"}
+    tree, fnn = trees.TreeParams(), neural.TrainConfig()
+    assert {name: cli.DEFAULT_CONFIG[name] for name in cli.MODEL_NAMES} == {
+        "lr": {"alpha": logistic.DEFAULT_ALPHA, "epochs": logistic.DEFAULT_EPOCHS},
+        "dt": {"max_depth": tree.max_depth, "min_samples_split": tree.min_samples_split},
+        "rf": {"n_estimators": trees.DEFAULT_N_ESTIMATORS, "max_features": tree.max_features,
+               "max_depth": tree.max_depth, "min_samples_split": tree.min_samples_split},
+        "fnn": {"epochs": fnn.epochs, "batch_size": fnn.batch_size,
+                "validation_fraction": fnn.validation_fraction,
+                "layer_dims": list(neural.DEFAULT_LAYER_DIMS)},
+    }
 
 
 def _dataset_with_line(workspace, index, edit):

@@ -449,6 +449,13 @@ def test_read_labeled_csv_names_the_line_of_a_short_row(tmp_path):
         read_labeled_csv(path)
 
 
+def test_read_labeled_csv_names_the_line_of_a_target_outside_int64(tmp_path):
+    path = _corrupt_labeled_csv(tmp_path, 3, lambda line: line.rsplit(",", 1)[0] + ",9" + "0" * 19)
+    with pytest.raises(DataError, match=r"labeled\.csv, line 4: could not convert string "
+                                        r"'90{19}' to int64$"):
+        read_labeled_csv(path)
+
+
 def _reference_read_labeled_csv(path) -> LabeledDataset:
     """The per-row reader that the one-pass read_labeled_csv replaced: csv.reader,
     float() and int() on every cell, with the same checks and line numbers."""
@@ -630,23 +637,6 @@ def test_read_labeled_csv_on_a_long_file_names_the_reference_line(tmp_path, case
         assert line is not None and _line_named(got, path) == line, (got, expected)
 
 
-def test_read_labeled_csv_names_the_file_when_no_single_line_fails(tmp_path, monkeypatch):
-    path = tmp_path / "labeled.csv"
-    write_labeled_csv(_dataset(20), path)
-    (tmp_path / "labeled.csv.rows").unlink()  # a cache hit would never call _checked
-    checked = dataset._checked
-
-    def refuse_many(rows, previous=None):
-        if len(rows) > 1:
-            raise ValueError("refused as a whole")
-        return checked(rows, previous)
-
-    monkeypatch.setattr(dataset, "_checked", refuse_many)
-    with pytest.raises(DataError) as error:
-        read_labeled_csv(path)
-    assert str(error.value) == f"{path}: refused as a whole"
-
-
 @pytest.mark.parametrize("column, cell", [(2, "\x1f2"), (4, "4\x1c"), (7, "1\u01fe")])
 def test_read_labeled_csv_refuses_cells_only_numpy_parses(tmp_path, column, cell):
     # np.loadtxt reads these as 2.0, 4.0 and 472; float() and int() refuse them.
@@ -680,7 +670,7 @@ def _same_layout(a, b):
 
 def _read_from_cache(path):
     """read_labeled_csv(path), failing if it parses the CSV instead of taking the cache."""
-    with mock.patch.object(dataset, "_checked", side_effect=AssertionError("parsed the CSV")):
+    with mock.patch.object(dataset, "_parsed", side_effect=AssertionError("parsed the CSV")):
         return read_labeled_csv(path)
 
 
@@ -852,7 +842,7 @@ def test_a_cache_that_does_not_match_gives_the_parse_result(case, tmp_path, caps
     _BAD_CACHES[case](path, cache, other)
     left = cache.read_bytes() if cache.is_file() else None
 
-    with mock.patch.object(dataset, "_checked", wraps=dataset._checked) as checked:
+    with mock.patch.object(dataset, "_parsed", wraps=dataset._parsed) as checked:
         got = _read_or_error(read_labeled_csv, path)
     assert checked.called and capsys.readouterr() == ("", "")
     assert (cache.read_bytes() if cache.is_file() else None) == left  # a read writes no cache
