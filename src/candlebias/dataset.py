@@ -156,15 +156,15 @@ def ingest_csv(path, code: int) -> tuple[tuple[list, list], IngestStats]:
 
     Returns ``((dates, prices), stats)``: ``dates[i]`` is a ``datetime.date``
     and ``prices[i]`` that day's five prices in :data:`FEATURE_COLUMNS` order,
-    sorted stably by date ascending. Columns are found by header name; a
-    repeated name means its last column. Blank lines are skipped and not
+    sorted stably by date ascending. A UTF-8 byte-order mark is skipped.
+    Columns are found by header name; a repeated name means its last column. Blank lines are skipped and not
     counted, and the cells a short row lacks count as missing. Rows with a
     missing, unparseable or non-finite field are dropped and counted, as are
     rows with a negative price or volume or whose prices violate
     low <= min(open, close) and high >= max(open, close).
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 

@@ -13,11 +13,13 @@ contiguous ranges of its trees, one process per available CPU, and joins them
 and sums their out-of-bag probabilities in tree order, so the count of
 processes moves no bytes (see fit_forest). Nodes keep the order they grow
 in, breadth first, as does loading a model file. Prediction has two scorers
-behind one generator (_tree_probas). Trees of at most 64 leaves, the bits of
-one uint64 mask word, are scored together by bitvectors over each row's rank
-in each feature column (_bitvector_probas); a larger tree partitions the
-rows that reach each split (_descend). Both send ties left and give the same
-leaf. Nothing recurses.
+behind one generator (_tree_probas), which gives each tree's probability for
+every row. Trees of at most 64 leaves, the bits of one uint64 mask word, are
+scored together by bitvectors over each row's rank in each feature column
+(_bitvector_probas); a larger tree partitions the rows that reach each split
+(_descend). Both send ties left and give the same leaf. The out-of-bag error
+takes every row from that generator and keeps each tree's out-of-bag rows
+(oob_error). Nothing recurses.
 """
 
 from __future__ import annotations
@@ -212,32 +214,6 @@ def _best_cuts(columns, rows, weight, positive, ids, sizes, candidates=None, tab
     with np.errstate(invalid="ignore"):  # -inf + inf
         threshold = lo * 0.5 + hi * 0.5
     return feature, np.where(np.isfinite(threshold) & (threshold != hi), threshold, lo), best
-
-
-def best_split(X: np.ndarray, y: np.ndarray, candidate_features=None):
-    """Greedy search over midpoints between consecutive distinct feature values.
-
-    Returns (feature_index, threshold, information_gain) for the gain-maximizing
-    split, or None when no candidate has strictly positive gain. Ties break to
-    the lowest feature index, then the lowest threshold; candidate features are
-    scanned in ascending index order regardless of the order supplied. This is
-    the grower's scorer, :func:`_best_cuts`, on one segment of unit-count rows.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if len(y) < 2:
-        return None
-    candidates = None
-    if candidate_features is not None:
-        candidates = np.zeros((X.shape[1], 1), dtype=bool)
-        candidates[np.asarray(candidate_features, dtype=np.intp)] = True
-    feature, threshold, gain = _best_cuts(X.T, np.arange(len(y)), np.ones(len(y), np.int32),
-                                          y.astype(np.int32),
-                                          np.argsort(X, axis=0, kind="stable").T, [len(y)],
-                                          candidates)
-    if gain[0] <= 0.0:
-        return None
-    return int(feature[0]), float(threshold[0]), float(gain[0])
 
 
 def _searched(n, positives, depth: int, params: TreeParams):
@@ -467,19 +443,15 @@ def _bitvector_probas(trees: list, columns: np.ndarray):
         yield from np.take(leaf_p[chunk], leaf)
 
 
-def _tree_probas(trees: list, X: np.ndarray, rows=None):
-    """Each tree's leaf probability of class 1, in tree order: per row of X, or per row that
-    rows[t] marks for tree t. A tree of at most 64 leaves, one uint64 word, is scored by
-    bitvectors, all of them together (see _bitvector_probas); a larger one descends."""
+def _tree_probas(trees: list, X: np.ndarray):
+    """Each tree's leaf probability of class 1 per row of X, in tree order. A tree of at
+    most 64 leaves, one uint64 word, is scored by bitvectors, all of them together (see
+    _bitvector_probas); a larger one descends (_descend)."""
     columns = np.asarray(X, dtype=float).T
     in_word = [len(tree.feature) <= 2 * 64 - 1 for tree in trees]  # L leaves: 2L - 1 nodes
     by_word = _bitvector_probas([tree for tree, w in zip(trees, in_word) if w], columns)
-    for t, (tree, w) in enumerate(zip(trees, in_word)):
-        if w:
-            proba = next(by_word)
-            yield proba if rows is None else proba[rows[t]]
-        else:
-            yield _descend(tree, columns if rows is None else columns[:, rows[t]])
+    for tree, w in zip(trees, in_word):
+        yield next(by_word) if w else _descend(tree, columns)
 
 
 def tree_predict_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -597,12 +569,9 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     message; one that ends without a reply raises TrainingDivergedError; and
     none outlives this call.
 
-    The OOB error is the misclassification rate of rows under the trees whose
-    bootstrap excludes them: each row is scored by the mean of those trees'
-    leaf probabilities, summed in tree order (ties classify as 1), and rows
-    in every bootstrap are left out of the denominator. It is None, with a
-    warning, when no row is out of bag. One scoring pass after every tree is
-    grown gives every tree's out-of-bag rows their probabilities.
+    Once every tree is grown, :func:`oob_error` scores the joined trees on
+    their out-of-bag masks; it is None, with a warning, when no row is out of
+    bag.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -634,19 +603,29 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    oob = np.concatenate(oob)
-    prob_sum = np.zeros(n)
-    for tree_oob, proba in zip(oob, _tree_probas(forest.trees, X, oob)):
-        prob_sum[tree_oob] += proba
-    tree_count = np.count_nonzero(oob, axis=0)
-
-    covered = tree_count > 0
-    if covered.any():
-        pred = (prob_sum[covered] / tree_count[covered] >= 0.5).astype(np.int64)
-        forest.oob_error = float(np.mean(pred != y[covered]))
-    else:
-        warnings.warn("OOB error undefined: every sample appears in every bootstrap")
+    forest.oob_error = oob_error(forest.trees, np.concatenate(oob), X, y)
     return forest
+
+
+def oob_error(trees: list, oob: np.ndarray, X: np.ndarray, y: np.ndarray) -> float | None:
+    """Misclassification rate of rows under the trees whose bootstrap excludes them.
+
+    oob[t, r] is True when row r is out of tree t's bootstrap. Each row is
+    scored by the mean of those trees' leaf probabilities, summed in tree
+    order (ties classify as 1), and rows in every bootstrap are left out of
+    the denominator. None, with a warning, when no row is out of bag. One
+    scoring pass gives every tree all rows; each tree adds its out-of-bag ones.
+    """
+    prob_sum = np.zeros(len(y))
+    for tree_oob, proba in zip(oob, _tree_probas(trees, X)):
+        prob_sum[tree_oob] += proba[tree_oob]
+    tree_count = np.count_nonzero(oob, axis=0)
+    covered = tree_count > 0
+    if not covered.any():
+        warnings.warn("OOB error undefined: every sample appears in every bootstrap")
+        return None
+    pred = (prob_sum[covered] / tree_count[covered] >= 0.5).astype(np.int64)
+    return float(np.mean(pred != y[covered]))
 
 
 def predict_forest(forest: ForestModel, X: np.ndarray) -> np.ndarray:

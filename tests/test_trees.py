@@ -16,7 +16,6 @@ from candlebias.seeding import mix64
 from candlebias.trees import (
     ForestModel,
     TreeParams,
-    best_split,
     bootstrap_sample,
     fit_forest,
     fit_tree,
@@ -51,6 +50,31 @@ def predict_tree(tree, x) -> float:
 def tree_predict(tree, X):
     """Class 1 where the tree's leaf probability is at least 0.5, as the DT is scored."""
     return (tree_predict_proba(tree, X) >= 0.5).astype(np.int64)
+
+
+def best_split(X, y, candidate_features=None):
+    """The grower's split scorer, trees._best_cuts, on one segment of unit-count rows.
+
+    Returns (feature_index, threshold, information_gain) for the gain-maximizing
+    split over midpoints between consecutive distinct feature values, or None
+    when no candidate has strictly positive gain. Ties break to the lowest
+    feature index, then the lowest threshold; candidate features are scanned in
+    ascending index order regardless of the order supplied.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    if len(y) < 2:
+        return None
+    candidates = None
+    if candidate_features is not None:
+        candidates = np.zeros((X.shape[1], 1), dtype=bool)
+        candidates[np.asarray(candidate_features, dtype=np.intp)] = True
+    feature, threshold, gain = trees._best_cuts(
+        X.T, np.arange(len(y)), np.ones(len(y), np.int32), y.astype(np.int32),
+        np.argsort(X, axis=0, kind="stable").T, [len(y)], candidates)
+    if gain[0] <= 0.0:
+        return None
+    return int(feature[0]), float(threshold[0]), float(gain[0])
 
 
 def oracle_best_split(X, y, candidate_features=None):
@@ -342,11 +366,6 @@ def test_scorer_equals_the_per_row_oracle_on_trees_either_side_of_one_word(
     for tree, e in zip(forest, expected):
         assert np.array_equal(tree_predict_proba(tree, X), e)
 
-    # the OOB pattern: each tree's marked rows only
-    marked = rng.random((len(forest), len(X))) < 0.4
-    for g, e, keep in zip(trees._tree_probas(forest, X, marked), expected, marked):
-        assert np.array_equal(g, e[keep])
-
 
 def test_scorer_sends_every_row_right_at_a_nan_threshold():
     # a model file cannot hold one, but a Tree made in code can
@@ -479,13 +498,19 @@ def _oob_error_reference(forest, X, y, bootstraps):
 
 
 def test_oob_error_equals_a_separate_pass_over_the_bootstraps():
-    for n, n_estimators, params, seed in ((60, 4, TreeParams(8, 4, 3), 21),
-                                          (150, 8, TreeParams(8, 4, 5), 5),
-                                          (300, 25, TreeParams(20, 10, 3), 3)):
-        X, y = separable_classification(n, seed=seed)
+    # the last forest's trees have more than 64 leaves and descend node by
+    # node; the others' are scored by bitvectors
+    leaves = []
+    for n, n_estimators, params, seed, noise in ((60, 4, TreeParams(8, 4, 3), 21, 0.1),
+                                                 (150, 8, TreeParams(8, 4, 5), 5, 0.1),
+                                                 (300, 25, TreeParams(20, 10, 3), 3, 0.1),
+                                                 (400, 6, TreeParams(100, 2, 3), 7, 0.5)):
+        X, y = separable_classification(n, seed=seed, noise=noise)
         forest = fit_forest(X, y, n_estimators=n_estimators, params=params, seed=seed)
         assert forest.oob_error == _oob_error_reference(
             forest, X, y, _bootstraps(n, seed, n_estimators))
+        leaves += [np.count_nonzero(tree.feature < 0) for tree in forest.trees]
+    assert min(leaves) <= 64 < max(leaves)
 
 
 def test_oob_error_close_to_held_out_validation_error():
