@@ -58,21 +58,6 @@ DEFAULT_CONFIG = {
 }
 
 
-@dataclass
-class RunConfig:
-    data_path: str | None
-    securities_code: int
-    train_frac: float
-    val_frac: float
-    master_seed: int
-    out_dir: Path
-    report_format: str
-    models: dict  # config section of each model, by name
-
-    def model_seed(self, name: str) -> int:
-        return mix64(self.master_seed, MODEL_NAMES.index(name))
-
-
 def _same_kind(value, default) -> bool:
     """True when a config value has its default's JSON type; an int passes for a float."""
     if isinstance(default, list):
@@ -101,7 +86,9 @@ def _check_config(cfg, default: dict, source: str, prefix: str = "") -> None:
                             f"got {value!r}")
 
 
-def _merge_config(args) -> RunConfig:
+def _merge_config(args) -> dict:
+    """The run's config: DEFAULT_CONFIG, then the config file, then the flags,
+    with $CANDLEBIAS_DATA_DIR for data when neither sets it; out is a Path."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if getattr(args, "config", None):
         try:
@@ -130,17 +117,8 @@ def _merge_config(args) -> RunConfig:
 
     if cfg["format"] not in metrics.REPORT_FORMATS:
         raise DataError(f"unknown report format {cfg['format']!r}")
-    train_frac, val_frac = cfg["split"]
-    return RunConfig(
-        data_path=cfg["data"],
-        securities_code=int(cfg["code"]),
-        train_frac=float(train_frac),
-        val_frac=float(val_frac),
-        master_seed=int(cfg["seed"]),
-        out_dir=Path(cfg["out"]),
-        report_format=cfg["format"],
-        models={name: cfg[name] for name in MODEL_NAMES},
-    )
+    cfg["out"] = Path(cfg["out"])
+    return cfg
 
 
 def _parse_split(text: str):
@@ -153,18 +131,18 @@ def _parse_split(text: str):
 # ---------------------------------------------------------------------------
 # dataset plumbing
 
-def _make_out_dir(config: RunConfig) -> None:
-    with writing(config.out_dir):
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+def _make_out_dir(config: dict) -> None:
+    with writing(config["out"]):
+        config["out"].mkdir(parents=True, exist_ok=True)
 
 
-def _load_split_dataset(config: RunConfig, args):
+def _load_split_dataset(config: dict, args):
     """The prepared dataset and its chronological split."""
-    path = Path(args.dataset) if args.dataset else config.out_dir / "dataset.csv"
+    path = Path(args.dataset) if args.dataset else config["out"] / "dataset.csv"
     if not path.exists():
         raise DataError(f"prepared dataset {path} not found; run `prepare` first")
     ds = dataset.read_labeled_csv(path)
-    return ds, dataset.split_chronological(len(ds), config.train_frac, config.val_frac)
+    return ds, dataset.split_chronological(len(ds), *config["split"])
 
 
 # ---------------------------------------------------------------------------
@@ -257,27 +235,27 @@ MODELS = {
 MODEL_NAMES = tuple(MODELS)
 
 
-def _fit(name: str, ds: dataset.LabeledDataset, train: range, config: RunConfig):
+def _fit(name: str, ds: dataset.LabeledDataset, train: range, config: dict):
     """Fit one model on rows train and check its document as a model file is
     checked, writing nothing; return (loaded model, JSON text, history columns)."""
     spec = MODELS[name]
     try:
         with np.errstate(all="ignore"):  # a diverging fit shows as a non-finite cost
-            doc, history = spec.fit(ds.rows(train), ds.labels(train), config.models[name],
-                                    config.model_seed(name))
+            doc, history = spec.fit(ds.rows(train), ds.labels(train), config[name],
+                                    mix64(config["seed"], MODEL_NAMES.index(name)))
         return spec.load(doc), json.dumps(doc), history
     except (ValueError, TrainingDivergedError, RecursionError,  # too deep to nest
             MemoryError) as exc:  # a config asking for more than the address space
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
 
 
-def _save(name: str, text: str, history, config: RunConfig) -> list:
+def _save(name: str, text: str, history, config: dict) -> list:
     """Write a fitted model's history CSV, then its model file, so a failed
     write leaves no fresh model file; return the paths written, model first."""
     _make_out_dir(config)
-    written = [config.out_dir / f"model_{name}.json"]
+    written = [config["out"] / f"model_{name}.json"]
     if MODELS[name].history_file:
-        written.append(config.out_dir / MODELS[name].history_file)
+        written.append(config["out"] / MODELS[name].history_file)
         with writing(written[-1]):
             metrics.write_history_csv(written[-1], history)
     with writing(written[0]):
@@ -321,9 +299,9 @@ def _score(name: str, model, ds: dataset.LabeledDataset, rng: range, path: Path)
     return metrics.evaluate(MODELS[name].label, y, y_pred, loss=loss), y_pred
 
 
-def _write_report(config: RunConfig, stem: str, text: str) -> Path:
-    extension, _ = metrics.REPORT_FORMATS[config.report_format]
-    path = config.out_dir / f"{stem}.{extension}"
+def _write_report(config: dict, stem: str, text: str) -> Path:
+    extension, _ = metrics.REPORT_FORMATS[config["format"]]
+    path = config["out"] / f"{stem}.{extension}"
     with writing(path):
         path.write_text(text, encoding="utf-8")
     return path
@@ -332,17 +310,17 @@ def _write_report(config: RunConfig, stem: str, text: str) -> Path:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_prepare(config: RunConfig, args) -> int:
-    if not config.data_path:
+def cmd_prepare(config: dict, args) -> int:
+    if not config["data"]:
         raise DataError(
             f"no input CSV: pass --data, set it in the config file, or set ${DATA_DIR_ENV}")
-    candles, stats = dataset.ingest_csv(config.data_path, config.securities_code)
+    candles, stats = dataset.ingest_csv(config["data"], config["code"])
     ds = dataset.label(*candles)
-    split = dataset.split_chronological(len(ds), config.train_frac, config.val_frac)
+    split = dataset.split_chronological(len(ds), *config["split"])
 
     n_up = int(ds.targets.sum())
     summary = {
-        "securities_code": config.securities_code,
+        "securities_code": config["code"],
         "input_rows": stats.total_rows,
         "matched_rows": stats.matched_rows,
         "dropped_missing": stats.dropped_missing,
@@ -350,21 +328,22 @@ def cmd_prepare(config: RunConfig, args) -> int:
         "labeled_rows": len(ds),
         "class_balance": {"up": n_up, "down": len(ds) - n_up,
                           "prevalence": n_up / len(ds)},
+        "ties": int((ds.next_close == ds.features[:, 0]).sum()),  # labeled down
         "split": split.as_dict(),
     }
     # dataset.csv, which later commands read, is written last: a failed
     # summary write leaves no fresh dataset behind
     _make_out_dir(config)
-    summary_path = config.out_dir / "dataset_summary.json"
+    summary_path = config["out"] / "dataset_summary.json"
     with writing(summary_path):
         summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    csv_path = config.out_dir / "dataset.csv"
+    csv_path = config["out"] / "dataset.csv"
     dataset.write_labeled_csv(ds, csv_path)
     print(f"wrote {csv_path} ({len(ds)} rows) and {summary_path}")
     return EXIT_OK
 
 
-def cmd_train(config: RunConfig, args) -> int:
+def cmd_train(config: dict, args) -> int:
     ds, split = _load_split_dataset(config, args)
     _, text, history = _fit(args.model, ds, split.train, config)
     written = _save(args.model, text, history, config)
@@ -372,9 +351,9 @@ def cmd_train(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(config: RunConfig, args) -> int:
+def cmd_evaluate(config: dict, args) -> int:
     ds, split = _load_split_dataset(config, args)
-    model_path = (config.out_dir / f"model_{args.model}.json" if args.model
+    model_path = (config["out"] / f"model_{args.model}.json" if args.model
                   else Path(args.model_file))
     name, model = _load_model(model_path)
     if args.model and name != args.model:
@@ -382,14 +361,14 @@ def cmd_evaluate(config: RunConfig, args) -> int:
                         f"not {MODELS[args.model].label}")
     report, _ = _score(name, model, ds, getattr(split, args.eval_split), model_path)
 
-    text = metrics.render([report], config.report_format, metadata={"split": args.eval_split})
+    text = metrics.render([report], config["format"], metadata={"split": args.eval_split})
     _make_out_dir(config)
     _write_report(config, f"report_{name}_{args.eval_split}", text)
     print(text, end="")
     return EXIT_OK
 
 
-def cmd_compare(config: RunConfig, args) -> int:
+def cmd_compare(config: dict, args) -> int:
     ds, split = _load_split_dataset(config, args)
     eval_split = {name: "test" if (args.eval_all_test or name == "fnn") else "validation"
                   for name in MODEL_NAMES}
@@ -397,7 +376,7 @@ def cmd_compare(config: RunConfig, args) -> int:
     reports, fitted = [], []
     for name in MODEL_NAMES:  # each fitted model scored as evaluate scores its file
         model, text, history = _fit(name, ds, split.train, config)
-        path = config.out_dir / f"model_{name}.json"
+        path = config["out"] / f"model_{name}.json"
         reports.append(_score(name, model, ds, getattr(split, eval_split[name]), path)[0])
         fitted.append((name, text, history))
         del model  # one loaded model at a time; of the others only text and history
@@ -405,16 +384,16 @@ def cmd_compare(config: RunConfig, args) -> int:
         _save(name, text, history, config)
 
     metadata = {
-        "securities_code": config.securities_code,
-        "master_seed": config.master_seed,
-        "split_fractions": [config.train_frac, config.val_frac],
+        "securities_code": config["code"],
+        "master_seed": config["seed"],
+        "split_fractions": config["split"],
         "evaluation_splits": {MODELS[n].label: eval_split[n] for n in MODEL_NAMES},
         "note": "all models share one chronological split; scores on different "
                 "ranges are not directly comparable",
     }
     footnote = ("all models scored on the test range" if args.eval_all_test else
                 "LR, DT, RF scored on the validation range; FNN scored on the test range")
-    text = metrics.render(reports, config.report_format, metadata=metadata,
+    text = metrics.render(reports, config["format"], metadata=metadata,
                           footnote=footnote)
     path = _write_report(config, "report_compare", text)
     print(text, end="")

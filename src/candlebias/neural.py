@@ -60,6 +60,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be an object, got {d!r}")
         return cls(json_number(d["epochs"], "config epochs", integer=True),
                    json_number(d["batch_size"], "config batch_size", integer=True),
                    json_number(d["validation_fraction"], "config validation_fraction"),
@@ -230,5 +232,5 @@ def from_dict(d: dict):
               for k, (b, n) in enumerate(zip(d["biases"], dims[1:]), 1)]
     model = NetworkModel(layer_dims=dims, weights=weights, biases=biases,
                          seed=json_number(d["seed"], "seed", integer=True))
-    config = TrainConfig.from_dict(d["config"]) if d.get("config") else None
+    config = None if d.get("config") is None else TrainConfig.from_dict(d["config"])
     return model, config

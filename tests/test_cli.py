@@ -109,6 +109,25 @@ def test_prepare_mini_fixture_hand_trace(tmp_path, jpx_mini_csv):
     assert lines[0] == "Date,Open,High,Low,Close,Volume,Next,Target"
     targets = [int(line.split(",")[-1]) for line in lines[1:]]
     assert targets == [0, 0, 1, 1, 1, 0, 0, 1, 1]
+    assert summary["ties"] == 0
+
+
+def test_prepare_counts_ties_and_labels_them_down(tmp_path):
+    # Labeled rows 0, 3 and 4 close where the next day closes: three ties.
+    closes = [100.0, 100.0, 101.0, 99.0, 99.0, 99.0, 102.0, 103.0]
+    start = datetime.date(2021, 1, 4)
+    raw = write_raw_csv(tmp_path / "ties.csv", [
+        (start + datetime.timedelta(days=i), 6758, c, c + 1.0, c - 1.0, c, 1000.0)
+        for i, c in enumerate(closes)])
+    out = tmp_path / "out"
+    assert cli.main(["prepare", "--data", str(raw), "--split", "0.5,0.25",
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "dataset_summary.json").read_text())
+    assert summary["labeled_rows"] == 7
+    assert summary["ties"] == 3
+    rows = [line.split(",") for line in (out / "dataset.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["0", "1", "0", "0", "0", "1", "1"]
+    assert [i for i, row in enumerate(rows) if float(row[4]) == float(row[6])] == [0, 3, 4]
 
 
 def test_prepare_is_byte_deterministic(tmp_path, synthetic_csv):
@@ -133,6 +152,44 @@ def test_prepare_without_data_source_fails(tmp_path, monkeypatch, capsys):
     rc = cli.main(["prepare", "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_DATA
     assert cli.DATA_DIR_ENV in capsys.readouterr().err
+
+
+def test_flags_override_the_config_file_and_the_data_dir_is_the_last_resort(
+        tmp_path, monkeypatch):
+    # raw_a holds 100 days of 7203 and 50 of 6758; the data dir's file 70 of 7203.
+    raw_a = write_raw_csv(tmp_path / "a.csv", synthetic_candles(100, seed=5, code=7203)
+                          + synthetic_candles(50, seed=6))
+    data_dir = tmp_path / "datadir"
+    data_dir.mkdir()
+    write_raw_csv(data_dir / cli.DATA_FILE_NAME, synthetic_candles(70, seed=8, code=7203))
+    monkeypatch.setenv(cli.DATA_DIR_ENV, str(data_dir))
+    out = tmp_path / "out"
+    file_cfg = {**FAST_CONFIG, "data": str(raw_a), "code": 7203, "seed": 9,
+                "split": [0.6, 0.2], "format": "csv", "out": str(out)}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(file_cfg))
+
+    def prepared(*flags):
+        assert cli.main(["prepare", "--config", str(config), *flags]) == 0
+        return json.loads((out / "dataset_summary.json").read_text())
+
+    assert prepared("--data", str(data_dir / cli.DATA_FILE_NAME))["input_rows"] == 70
+    config.write_text(json.dumps({key: value for key, value in file_cfg.items()
+                                  if key != "data"}))
+    assert prepared()["input_rows"] == 70
+    config.write_text(json.dumps(file_cfg))
+    summary = prepared("--split", "0.65,0.15")
+    assert (summary["input_rows"], summary["labeled_rows"]) == (150, 99)
+    assert summary["securities_code"] == 7203
+    assert summary["split"] == {"train": [0, 64], "validation": [64, 78], "test": [78, 99]}
+
+    assert cli.main(["compare", "--config", str(config), "--split", "0.65,0.15",
+                     "--seed", "3", "--format", "json"]) == 0
+    assert not (out / "report_compare.csv").exists()
+    metadata = json.loads((out / "report_compare.json").read_text())["metadata"]
+    assert metadata["securities_code"] == 7203
+    assert metadata["master_seed"] == 3
+    assert metadata["split_fractions"] == [0.65, 0.15]
 
 
 def test_prepare_uses_env_data_dir(tmp_path, monkeypatch):
@@ -619,9 +676,10 @@ def test_flag_overrides_keep_zero_and_ignore_empty_paths():
     args = argparse.Namespace(config=None, data="", code=0, seed=0, split=None,
                               format=None, out="")
     config = cli._merge_config(args)
-    assert (config.securities_code, config.master_seed) == (0, 0)
-    assert str(config.out_dir) == cli.DEFAULT_CONFIG["out"]
-    assert (config.train_frac, config.val_frac) == tuple(cli.DEFAULT_CONFIG["split"])
+    assert list(config) == list(cli.DEFAULT_CONFIG)
+    assert (config["code"], config["seed"]) == (0, 0)
+    assert config["out"] == Path(cli.DEFAULT_CONFIG["out"])
+    assert config["split"] == cli.DEFAULT_CONFIG["split"]
 
 
 def test_readme_cli_and_modules_share_one_set_of_default_hyperparameters():
@@ -759,6 +817,10 @@ BAD_INPUT_FILES = {
         _fnn_model([5, 1], [(1, 5)]), config={"epochs": 1, "batch_size": 2,
                                               "validation_fraction": float("inf"),
                                               "shuffle_seed": 0})),
+    "fnn_config_false": ("model", lambda ws: _with_keys(_fnn_model([5, 1], [(1, 5)]),
+                                                         config=False)),
+    "fnn_config_empty_object": ("model", lambda ws: _with_keys(_fnn_model([5, 1], [(1, 5)]),
+                                                                config={})),
     "rf_oob_error_string": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), oob_error="0.4")),
     "rf_fractional_seed": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), seed=2.5)),
     "rf_max_depth_string": ("model", lambda ws: _with_keys(

@@ -486,6 +486,15 @@ def test_network_json_round_trip():
     assert back_config == config
     X = np.random.default_rng(0).normal(size=(6, 5))
     assert np.array_equal(forward(back, X), forward(model, X))
+    assert neural.from_dict({**doc, "config": None})[1] is None
+
+
+@pytest.mark.parametrize("value", [False, 0, "", [], 1, [1], "x"])
+def test_network_config_that_is_not_an_object_is_refused(value):
+    doc = {**neural.to_dict(init_network(0, (5, 1))), "config": value}
+    with pytest.raises(ValueError) as refused:
+        neural.from_dict(doc)
+    assert str(refused.value) == f"config must be an object, got {value!r}"
 
 
 def test_loss_history_csv(tmp_path):
