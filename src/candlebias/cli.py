@@ -3,11 +3,17 @@
 Subcommands
     prepare   ingest raw OHLCV CSV, label it, write dataset.csv, its row cache
               dataset.csv.rows and summary JSON
-    train     fit lr | dt | rf | fnn on the prepared dataset's train range
+    train     fit lr | dt | rf | fnn on the prepared dataset's train range; a
+              forest also gets its node cache, model_rf.json.nodes
     evaluate  score a saved model file (--model or --model-file) on a dataset split
     compare   train all four models and emit one combined report, scoring each
               fitted document as evaluate scores a file, without reading it back;
               it writes nothing unless all four fit and score
+
+A model file's bytes are read once. A forest is taken from the node cache
+beside its file when the cache's digest binds it to those bytes and its
+arrays pass forest_from_nodes's checks; otherwise the JSON is decoded, so the
+model file stays the only one evaluate needs.
 
 Exit statuses: 0 success, 1 usage error, 2 data error (a file that cannot be
 read or written included), 3 training error. A library warning (an undefined
@@ -20,6 +26,8 @@ through seeding.mix64.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import sys
@@ -30,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dataset, logistic, metrics, neural, trees
+from . import cachefile, dataset, logistic, metrics, neural, trees
 from .errors import DataError, TrainingDivergedError, writing
 from .seeding import mix64
 
@@ -136,9 +144,13 @@ def _make_out_dir(config: dict) -> None:
         config["out"].mkdir(parents=True, exist_ok=True)
 
 
+def _dataset_path(config: dict, args) -> Path:
+    return Path(args.dataset) if args.dataset else config["out"] / "dataset.csv"
+
+
 def _load_split_dataset(config: dict, args):
     """The prepared dataset and its chronological split."""
-    path = Path(args.dataset) if args.dataset else config["out"] / "dataset.csv"
+    path = _dataset_path(config, args)
     if not path.exists():
         raise DataError(f"prepared dataset {path} not found; run `prepare` first")
     ds = dataset.read_labeled_csv(path)
@@ -249,17 +261,31 @@ def _fit(name: str, ds: dataset.LabeledDataset, train: range, config: dict):
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc
 
 
-def _save(name: str, text: str, history, config: dict) -> list:
-    """Write a fitted model's history CSV, then its model file, so a failed
-    write leaves no fresh model file; return the paths written, model first."""
+def _nodes_path(model_path: Path) -> Path:
+    return model_path.with_name(model_path.name + ".nodes")
+
+
+def _nodes(name: str, model):
+    """The node-cache payload of a fitted forest; None for the other models."""
+    return trees.forest_to_nodes(model) if name == "rf" else None
+
+
+def _save(name: str, text: str, history, config: dict, nodes) -> list:
+    """Write a fitted model's history CSV, then the forest's node cache when
+    nodes holds its payload, then its model file, so a failed write leaves no
+    fresh model file; return the paths written, model first."""
     _make_out_dir(config)
+    data = (text + "\n").encode("utf-8")
     written = [config["out"] / f"model_{name}.json"]
     if MODELS[name].history_file:
         written.append(config["out"] / MODELS[name].history_file)
         with writing(written[-1]):
             metrics.write_history_csv(written[-1], history)
+    if nodes is not None:
+        written.append(_nodes_path(written[0]))
+        cachefile.write(written[-1], hashlib.sha256(data), nodes)
     with writing(written[0]):
-        written[0].write_text(text + "\n", encoding="utf-8")
+        written[0].write_bytes(data)
     return written
 
 
@@ -274,11 +300,20 @@ def detect_model_kind(doc) -> str:
 def _load_model(path: Path):
     """Read and decode a model file; returns (model name, model).
 
-    Every unreadable or malformed file raises DataError naming the file, and
-    so does a number it reads that is NaN, infinite or too large for a float.
+    A forest comes from the node cache beside the file when the cache is
+    bound to the file's bytes and passes its checks; otherwise the JSON is
+    decoded. Every unreadable or malformed file raises DataError naming the
+    file, and so does a number it reads that is NaN, infinite or too large
+    for a float.
     """
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        raw = path.read_bytes()
+        payload = cachefile.read(_nodes_path(path), raw)
+        forest = None if payload is None else trees.forest_from_nodes(payload)
+        if forest is not None:
+            return "rf", forest
+        # decoded as read_text decodes, newlines translated
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
         name = detect_model_kind(doc)
         return name, MODELS[name].load(doc)
     except KeyError as exc:
@@ -345,8 +380,8 @@ def cmd_prepare(config: dict, args) -> int:
 
 def cmd_train(config: dict, args) -> int:
     ds, split = _load_split_dataset(config, args)
-    _, text, history = _fit(args.model, ds, split.train, config)
-    written = _save(args.model, text, history, config)
+    model, text, history = _fit(args.model, ds, split.train, config)
+    written = _save(args.model, text, history, config, _nodes(args.model, model))
     print(f"trained {args.model}: " + ", ".join(str(p) for p in written))
     return EXIT_OK
 
@@ -368,6 +403,17 @@ def cmd_evaluate(config: dict, args) -> int:
     return EXIT_OK
 
 
+def _securities_code(config: dict, args):
+    """The integer code in the dataset_summary.json that prepare wrote beside
+    the dataset, or else the config's."""
+    path = _dataset_path(config, args).with_name("dataset_summary.json")
+    try:
+        code = json.loads(path.read_text(encoding="utf-8"))["securities_code"]
+    except (OSError, ValueError, KeyError, TypeError):  # none, or not prepare's
+        return config["code"]
+    return code if type(code) is int else config["code"]
+
+
 def cmd_compare(config: dict, args) -> int:
     ds, split = _load_split_dataset(config, args)
     eval_split = {name: "test" if (args.eval_all_test or name == "fnn") else "validation"
@@ -378,13 +424,13 @@ def cmd_compare(config: dict, args) -> int:
         model, text, history = _fit(name, ds, split.train, config)
         path = config["out"] / f"model_{name}.json"
         reports.append(_score(name, model, ds, getattr(split, eval_split[name]), path)[0])
-        fitted.append((name, text, history))
-        del model  # one loaded model at a time; of the others only text and history
-    for name, text, history in fitted:  # nothing is written unless all four fit and score
-        _save(name, text, history, config)
+        fitted.append((name, text, history, _nodes(name, model)))
+        del model  # one loaded model at a time; of the others only what _save writes
+    for name, text, history, nodes in fitted:  # nothing is written unless all four fit and score
+        _save(name, text, history, config, nodes)
 
     metadata = {
-        "securities_code": config["code"],
+        "securities_code": _securities_code(config, args),
         "master_seed": config["seed"],
         "split_fractions": config["split"],
         "evaluation_splits": {MODELS[n].label: eval_split[n] for n in MODEL_NAMES},

@@ -5,13 +5,14 @@ Open, High, Low); every model module consumes this order. Dates are kept, as
 day ordinals, only for ordering and split bookkeeping, never as a feature.
 
 Beside each dataset.csv it writes, write_labeled_csv always puts a binary row
-cache, dataset.csv.rows: a sha256 digest of the CSV's bytes and the records,
-then one little-endian record (date ordinal, the seven numbers) per row. Every
-LabeledDataset reads back from its CSV, whose repr floats and ISO dates
-round-trip exactly, so the records are what parsing the CSV gives.
-read_labeled_csv takes the records from the cache when the digest matches the
-CSV it has just read, and otherwise parses the CSV into records, one line at a
-time: the cache is never required, and a stale or damaged one is ignored.
+cache, dataset.csv.rows, bound to the CSV's bytes by the digest rule of
+:mod:`candlebias.cachefile`: its payload is one little-endian record (date
+ordinal, the seven numbers) per row. Every LabeledDataset reads back from its
+CSV, whose repr floats and ISO dates round-trip exactly, so the records are
+what parsing the CSV gives. read_labeled_csv takes the records from the cache
+when the digest binds it to the CSV it has just read, and otherwise parses the
+CSV into records, one line at a time: the cache is never required, and a
+stale or damaged one is ignored.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import datetime
 import hashlib
 import io
 import math
-import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cachefile
 from .errors import DataError, json_number, writing
 
 FEATURE_COLUMNS = ("Close", "Volume", "Open", "High", "Low")
@@ -36,7 +37,6 @@ LABELED_COLUMNS = ("Date", "Open", "High", "Low", "Close", "Volume", "Next", "Ta
 # A dataset.csv.rows record, and a parsed row: the date's ordinal, then the other columns.
 _RECORD = np.dtype([("Day", "<i8"), *((name, "<f8") for name in LABELED_COLUMNS[1:-1]),
                     (LABELED_COLUMNS[-1], "<i8")])
-_DIGEST_SIZE = hashlib.sha256().digest_size
 # The ordinals of datetime64's day 0 and of the last date an ISO date string can hold.
 _EPOCH, _LAST_DAY = datetime.date(1970, 1, 1).toordinal(), datetime.date.max.toordinal()
 _BLANK = ("\r\n", "\n", "\r")  # the lines csv.reader reads as empty rows
@@ -301,10 +301,7 @@ def write_labeled_csv(ds: LabeledDataset, path) -> None:
         records[name] = ds.features[:, j]
     records["Next"] = ds.next_close
     records["Target"] = ds.targets
-    digest.update(records.view(np.uint8))
-    with writing(f"{path}.rows"), open(f"{path}.rows", "wb") as fh:
-        fh.write(digest.digest())
-        records.tofile(fh)
+    cachefile.write(f"{path}.rows", digest, records.view(np.uint8))
 
 
 def _csv_blocks(ds: LabeledDataset):
@@ -350,18 +347,10 @@ def read_labeled_csv(path) -> LabeledDataset:
 
 def _cached_records(path, raw: bytes):
     """The records of ``<path>.rows`` when its digest binds them to raw, else None."""
-    try:
-        with open(f"{path}.rows", "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size - _DIGEST_SIZE
-            if size <= 0 or size % _RECORD.itemsize:
-                return None
-            stored = fh.read(_DIGEST_SIZE)
-            records = np.fromfile(fh, _RECORD)
-    except OSError:
+    payload = cachefile.read(f"{path}.rows", raw)
+    if payload is None or not payload.nbytes or payload.nbytes % _RECORD.itemsize:
         return None
-    digest = hashlib.sha256(raw)
-    digest.update(records.view(np.uint8))
-    return records if digest.digest() == stored else None
+    return np.frombuffer(payload, _RECORD)
 
 
 def _parsed(path, raw: bytes) -> np.ndarray:

@@ -6,6 +6,9 @@ and tree t of a forest depends only on (master seed, t).
 
 A tree is one :class:`Tree` of parallel node arrays, which fitting builds and
 prediction reads; only a model file nests it (node_to_dict, node_from_dict).
+A forest's node cache holds its arrays flat (forest_to_nodes), and loading it
+checks that they are a forest node_from_dict could have built
+(forest_from_nodes).
 Fitting grows trees one depth level at a time: a forest grows a batch of trees
 together, each on its bootstrap given as a count per row, and a plain tree is
 the one-tree batch in which every row counts once (see _grow). A forest grows
@@ -25,6 +28,7 @@ takes every row from that generator and keeps each tree's out-of-bag rows
 from __future__ import annotations
 
 import functools
+import math
 import os
 import pickle
 import signal
@@ -42,6 +46,12 @@ DEFAULT_N_ESTIMATORS = 250
 _FEATURE_STREAM = 1  # stream index for per-node feature sampling, vs 0 for bootstrap
 _BATCH_ENTRIES = 8192  # (tree, row) entries grown together; bounds the grower's arrays
 _TABLE_ROWS = 1023  # entropy table rows n; a level with a larger node computes entropies
+# A node cache's payload: this header, each tree's node count ("<i8"), then each
+# Tree column over all nodes in tree order, in Tree's field order, as these types.
+_NODES_HEAD = np.dtype([("n_estimators", "<i8"), ("seed", "<u8"), ("max_depth", "<i8"),
+                        ("min_samples_split", "<i8"), ("max_features", "<i8"),
+                        ("oob_error", "<f8")])  # NaN for none
+_NODE_COLUMNS = tuple(map(np.dtype, ("<i8", "<f8", "<i8", "<i8", "<f8", "<i8")))
 
 
 @dataclass
@@ -691,3 +701,73 @@ def forest_from_dict(d: dict) -> ForestModel:
         seed=json_number(d["seed"], "seed", integer=True),
         oob_error=None if d["oob_error"] is None else json_number(d["oob_error"], "oob_error"),
     )
+
+
+def forest_to_nodes(forest: ForestModel) -> bytes | None:
+    """The payload of the forest's node cache; None when its seed or a count does
+    not fit in 64 bits, which leaves the forest to its model file alone."""
+    head = np.zeros(1, _NODES_HEAD)
+    params = forest.params
+    try:
+        head[0] = (forest.n_estimators, forest.seed, params.max_depth,
+                   params.min_samples_split, params.max_features,
+                   math.nan if forest.oob_error is None else forest.oob_error)
+    except OverflowError:
+        return None
+    sizes = np.array([len(tree.feature) for tree in forest.trees], dtype="<i8")
+    return b"".join([head.tobytes(), sizes.tobytes(),
+                     *(np.concatenate(column).astype(dtype).tobytes()
+                       for column, dtype in zip(zip(*forest.trees), _NODE_COLUMNS))])
+
+
+def forest_from_nodes(payload) -> ForestModel | None:
+    """The forest of a node cache's payload; None unless it is one that
+    forest_from_dict could have loaded, which these checks, over all nodes at
+    once, make sure of. There are n_estimators trees, at least one; params are
+    valid, and oob_error is finite or none. Each tree is numbered as
+    node_from_dict numbers it: its k-th split (feature 0..4, finite threshold,
+    p_up and n 0) has its children at nodes 2k + 1 and 2k + 2, after itself,
+    and a tree of s splits has 2s + 1 nodes, so every node but the root has
+    one parent, before it, and none is unreachable; a leaf has feature, left
+    and right -1, threshold 0, p_up in [0, 1] and n at least 0.
+    """
+    size, start = len(payload), _NODES_HEAD.itemsize
+    if size < start:
+        return None
+    head = np.frombuffer(payload, _NODES_HEAD, 1)[0]
+    params = TreeParams(*(int(head[key]) for key in ("max_depth", "min_samples_split",
+                                                     "max_features")))
+    n_trees, oob_error = int(head["n_estimators"]), float(head["oob_error"])
+    try:
+        params.validate(N_FEATURES)
+    except ValueError:
+        return None
+    if math.isinf(oob_error) or not 1 <= n_trees <= (size - start) // 8:
+        return None
+    sizes = np.frombuffer(payload, "<i8", n_trees, start)
+    start += 8 * n_trees
+    n_nodes, rest = divmod(size - start, 8 * len(_NODE_COLUMNS))
+    if rest or not ((1 <= sizes) & (sizes <= n_nodes)).all() or sizes.sum() != n_nodes:
+        return None
+    columns = [np.frombuffer(payload, dtype, n_nodes, start + 8 * n_nodes * i)
+               for i, dtype in enumerate(_NODE_COLUMNS)]
+    feature, threshold, left, right, p_up, n = columns
+    firsts = np.cumsum(sizes) - sizes
+    split = feature >= 0
+    before = np.cumsum(split) - split  # splits before each node, then within its tree
+    before -= np.repeat(before[firsts], sizes)
+    child = 2 * before + 1
+    canonical = np.where(
+        split, (feature < N_FEATURES) & (left == child) & (right == child + 1)
+        & (np.arange(n_nodes) - np.repeat(firsts, sizes) < child) & np.isfinite(threshold)
+        & (p_up == 0.0) & (n == 0),
+        (feature == -1) & (left == -1) & (right == -1) & (threshold == 0.0)
+        & (0.0 <= p_up) & (p_up <= 1.0) & (n >= 0))
+    if not (canonical.all() and np.array_equal(
+            sizes, 2 * np.add.reduceat(split, firsts, dtype=np.int64) + 1)):
+        return None
+    columns = (c.astype(np.intp if c.dtype.kind == "i" else float, copy=False)
+               for c in columns)
+    return ForestModel(trees=[Tree(*c) for c in zip(*(np.split(c, firsts[1:]) for c in columns))],
+                       params=params, n_estimators=n_trees, seed=int(head["seed"]),
+                       oob_error=None if math.isnan(oob_error) else oob_error)

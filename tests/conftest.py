@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime
 from pathlib import Path
 
@@ -70,3 +71,68 @@ def separable_classification(n, seed, noise=0.10):
     flip = rng.random(n) < noise
     y[flip] = 1 - y[flip]
     return X, y
+
+
+
+def _with_first_tree(forest, columns: dict):
+    return dataclasses.replace(forest, trees=[type(forest.trees[0])(**columns),
+                                              *forest.trees[1:]])
+
+
+def _set_nodes(*edits):
+    """The edit of a forest that sets, in a copy of its first tree, each (column,
+    node, value) of edits; node "leaf" is the tree's first leaf."""
+    def edit(forest):
+        columns = {name: column.copy() for name, column in forest.trees[0]._asdict().items()}
+        leaf = int(np.flatnonzero(columns["feature"] < 0)[0])
+        for name, node, value in edits:
+            columns[name][leaf if node == "leaf" else node] = value
+        return _with_first_tree(forest, columns)
+    return edit
+
+
+def _leaf_appended(forest):
+    """The forest with a copy of its first tree's first leaf added to that tree."""
+    columns = forest.trees[0]._asdict()
+    leaf = int(np.flatnonzero(columns["feature"] < 0)[0])
+    return _with_first_tree(forest, {k: np.append(v, v[leaf]) for k, v in columns.items()})
+
+
+# A leaf at node 0 and at node 1 a split whose children are nodes 1 and 2: the
+# children of the first split sit at 1 and 2, but node 1 is its own child.
+_SELF_CHILD = {"feature": np.array([-1, 0, -1]), "threshold": np.array([0.0, 0.5, 0.0]),
+               "left": np.array([-1, 1, -1]), "right": np.array([-1, 2, -1]),
+               "p_up": np.array([0.5, 0.0, 1.0]), "n": np.array([1, 0, 2])}
+
+# Edits of a forest whose first tree splits at nodes 0 and 1; each gives a
+# forest that node_from_dict could not have built, so its node cache is refused.
+NODE_CACHE_FAULTS = {
+    "child_out_of_range": _set_nodes(("left", 0, 10**6), ("right", 0, 10**6 + 1)),
+    "left_child_is_the_root": _set_nodes(("left", 0, 0)),
+    "right_child_points_back_to_the_root": _set_nodes(("right", 1, 0)),
+    "split_is_its_own_child": lambda f: _with_first_tree(f, _SELF_CHILD),
+    "children_swapped": _set_nodes(("left", 0, 2), ("right", 0, 1)),
+    "unreachable_leaf": _leaf_appended,
+    "feature_5": _set_nodes(("feature", 0, 5)),
+    "leaf_feature_minus_2": _set_nodes(("feature", "leaf", -2)),
+    "leaf_with_a_left_child": _set_nodes(("left", "leaf", 1)),
+    "leaf_with_a_right_child": _set_nodes(("right", "leaf", 2)),
+    "threshold_nan": _set_nodes(("threshold", 0, np.nan)),
+    "threshold_infinite": _set_nodes(("threshold", 1, -np.inf)),
+    "leaf_threshold_not_zero": _set_nodes(("threshold", "leaf", 0.5)),
+    "p_up_1.5": _set_nodes(("p_up", "leaf", 1.5)),
+    "p_up_negative": _set_nodes(("p_up", "leaf", -0.25)),
+    "p_up_nan": _set_nodes(("p_up", "leaf", np.nan)),
+    "split_p_up_not_zero": _set_nodes(("p_up", 0, 0.5)),
+    "negative_n": _set_nodes(("n", "leaf", -1)),
+    "split_n_not_zero": _set_nodes(("n", 0, 3)),
+    "more_trees_than_n_estimators": lambda f: dataclasses.replace(
+        f, n_estimators=len(f.trees) - 1),
+    "fewer_trees_than_n_estimators": lambda f: dataclasses.replace(
+        f, n_estimators=len(f.trees) + 1),
+    "max_features_6": lambda f: dataclasses.replace(
+        f, params=dataclasses.replace(f.params, max_features=6)),
+    "max_depth_0": lambda f: dataclasses.replace(
+        f, params=dataclasses.replace(f.params, max_depth=0)),
+    "oob_error_infinite": lambda f: dataclasses.replace(f, oob_error=np.inf),
+}

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candlebias import cli, dataset, logistic, neural, trees
+from candlebias import cachefile, cli, dataset, logistic, neural, trees
 
-from conftest import synthetic_candles, write_raw_csv
+from conftest import NODE_CACHE_FAULTS, synthetic_candles, write_raw_csv
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -64,6 +64,7 @@ GOLDEN_COMPARE = {
     "model_fnn.json": "c36fa11714f8ff849f28c508e9d75b9503140ca02f4cd739017e28aadf34f97e",
     "model_lr.json": "82cdb5c5a941c25314327fecb721dfdd7348fa1e93669f5016f35443646beb04",
     "model_rf.json": "ce4a5c68a2b6373ccc058499c6447cdcd9b95b086325dbe30e5a3ddf039e2710",
+    "model_rf.json.nodes": "4a1b5f16e27a3e9112efe8ed0e817d3dac196fbea7b6b73f30b44c92c5d65c1d",
     "report_compare.json": "328905f39dd7da24ebe1a9c8f8d17a02baa74b6cb18426d2164ae34653d2038f",
 }
 
@@ -553,6 +554,19 @@ def test_compare_golden_hashes(workspace, tmp_path):
     assert digests == GOLDEN_COMPARE
 
 
+def test_compare_reports_the_code_of_the_dataset_it_scores(tmp_path):
+    raw = write_raw_csv(tmp_path / "two.csv", synthetic_candles(300, seed=3) + synthetic_candles(
+        300, seed=4, code=7203))
+    out = tmp_path / "out"
+    config = tmp_path / "fast.json"
+    config.write_text(json.dumps(FAST_CONFIG))
+    assert cli.main(["prepare", "--data", str(raw), "--code", "7203", "--out", str(out)]) == 0
+    assert _run_quietly(["compare", "--config", str(config), "--format", "json",
+                         "--out", str(out)])[0] == 0
+    doc = json.loads((out / "report_compare.json").read_text())
+    assert doc["metadata"]["securities_code"] == 7203 != cli.DEFAULT_CONFIG["code"]
+
+
 def test_compare_matches_individual_train_and_evaluate(workspace, tmp_path):
     common = ["--config", str(workspace.config), "--dataset", str(workspace.dataset),
               "--format", "json", "--seed", "11"]
@@ -567,6 +581,9 @@ def test_compare_matches_individual_train_and_evaluate(workspace, tmp_path):
         model_file = f"model_{name}.json"
         assert cli.main(["train", "--model", name, "--out", str(solo_out)] + common) == 0
         assert (cmp_out / model_file).read_bytes() == (solo_out / model_file).read_bytes()
+        if name == "rf":
+            assert ((cmp_out / f"{model_file}.nodes").read_bytes()
+                    == (solo_out / f"{model_file}.nodes").read_bytes())
         assert cli.main(["evaluate", "--model-file", str(cmp_out / model_file),
                          "--eval-split", splits[label], "--out", str(solo_out)] + common) == 0
         solo = json.loads((solo_out / f"report_{name}_{splits[label]}.json").read_text())
@@ -844,24 +861,27 @@ BAD_INPUT_FILES = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
-def test_bad_input_files_exit_data_with_one_line(case, workspace, tmp_path, capsys):
+def test_bad_input_files_exit_data_with_one_line(case, trained, tmp_path, capsys):
     kind, content = BAD_INPUT_FILES[case]
     bad = tmp_path / "bad_input"
-    data = content(workspace)
+    data = content(trained)
     bad.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     argv = {
         "raw": ["prepare", "--data", str(bad)],
-        "model": ["evaluate", "--model-file", str(bad), "--dataset", str(workspace.dataset)],
-        "config": ["prepare", "--data", str(workspace.raw), "--config", str(bad)],
+        "model": ["evaluate", "--model-file", str(bad), "--dataset", str(trained.dataset)],
+        "config": ["prepare", "--data", str(trained.raw), "--config", str(bad)],
         "dataset": ["train", "--model", "dt", "--dataset", str(bad)],
-    }[kind]
-    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    }[kind] + ["--out", str(tmp_path / "out")]
+    rc = cli.main(argv)
     err = capsys.readouterr().err
     assert rc == cli.EXIT_DATA
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert str(bad) in err
     if "standardizer" in case:
         assert "standardizer" in err
+    if kind == "model":  # a stale node cache beside the file changes nothing
+        shutil.copy(trained.out / "model_rf.json.nodes", f"{bad}.nodes")
+        assert cli.main(argv) == rc and capsys.readouterr().err == err
 
 
 def _with_cell(lines, index, column, cell):
@@ -913,6 +933,7 @@ UNWRITABLE_FILES = {
     "train_model": ("train", "model_lr.json"),
     "train_history": ("train", "lr_cost_history.csv"),
     "compare_model": ("compare", "model_lr.json"),
+    "compare_forest_cache": ("compare", "model_rf.json.nodes"),
     "compare_report": ("compare", "report_compare.txt"),
     "evaluate_report": ("evaluate", "report_lr_validation.txt"),
 }
@@ -958,6 +979,118 @@ def test_a_failed_summary_write_leaves_no_dataset(trained, tmp_path, capsys):
     assert err.startswith(f"data error: cannot write {out / 'dataset_summary.json'}: ")
     assert err.count("\n") == 1
     assert not (out / "dataset.csv").exists() and not (out / "dataset.csv.rows").exists()
+
+
+# ---------------------------------------------------------------------------
+# the forest's node cache
+
+@pytest.fixture(scope="module")
+def fast_forest(workspace, tmp_path_factory):
+    """A FAST_CONFIG forest trained into a directory of its own: its model file."""
+    out = tmp_path_factory.mktemp("fast_forest")
+    assert cli.main(["train", "--model", "rf", "--config", str(workspace.config),
+                     "--dataset", str(workspace.dataset), "--out", str(out)]) == 0
+    return out / "model_rf.json"
+
+
+def _evaluate_forest(model: Path, workspace, out: Path):
+    """evaluate's exit status, stderr and JSON report bytes (None if none) for model."""
+    rc, err = _run_quietly(["evaluate", "--model-file", str(model), "--format", "json",
+                            "--dataset", str(workspace.dataset), "--out", str(out)])
+    report = out / "report_rf_validation.json"
+    result = rc, err, report.read_bytes() if report.exists() else None
+    report.unlink(missing_ok=True)
+    return result
+
+
+def test_evaluate_takes_a_forest_from_its_node_cache(fast_forest, workspace, tmp_path,
+                                                     monkeypatch):
+    model = tmp_path / "model_rf.json"
+    shutil.copy(fast_forest, model)
+    from_json = _evaluate_forest(model, workspace, tmp_path)
+    shutil.copy(f"{fast_forest}.nodes", f"{model}.nodes")
+
+    def refused(doc):
+        raise AssertionError("the model file was decoded beside a matching node cache")
+
+    monkeypatch.setattr(trees, "forest_from_dict", refused)
+    assert _evaluate_forest(model, workspace, tmp_path) == from_json
+    assert from_json[0] == cli.EXIT_OK
+
+
+def _stale_all_up(text: str) -> str:
+    """The forest document with every leaf's p_up set to 1.0."""
+    doc = json.loads(text)
+    nodes = list(doc["trees"])
+    for node in nodes:
+        if "p_up" in node:
+            node["p_up"] = 1.0
+        else:
+            nodes += (node["left"], node["right"])
+    return json.dumps(doc) + "\n"
+
+
+def _flip(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+# Each way a node cache beside a model file can fail to stand for it: a
+# function of (model file, its own node cache) that edits either or both.
+NODE_CACHE_MISMATCHES = {
+    "missing": lambda model, cache: cache.unlink(),
+    "stale_model_file_edited": lambda model, cache: model.write_text(
+        _stale_all_up(model.read_text())),
+    "truncated": lambda model, cache: cache.write_bytes(cache.read_bytes()[:-1]),
+    "digest_byte_flipped": lambda model, cache: cache.write_bytes(_flip(cache.read_bytes(), 3)),
+    "payload_byte_flipped": lambda model, cache: cache.write_bytes(
+        _flip(cache.read_bytes(), 40)),
+    **{f"crafted_{case}": lambda model, cache, fault=fault: cachefile.write(
+        cache, hashlib.sha256(model.read_bytes()), trees.forest_to_nodes(
+            fault(trees.forest_from_dict(json.loads(model.read_text())))))
+       for case, fault in NODE_CACHE_FAULTS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NODE_CACHE_MISMATCHES))
+def test_a_node_cache_that_does_not_stand_for_its_model_file_decides_nothing(
+        case, fast_forest, workspace, tmp_path, monkeypatch):
+    assert (trees.forest_from_dict(json.loads(fast_forest.read_text())).trees[0].feature[:2]
+            >= 0).all()  # the crafted faults edit splits at nodes 0 and 1
+    model, cache = tmp_path / "model_rf.json", tmp_path / "model_rf.json.nodes"
+    shutil.copy(fast_forest, model)
+    shutil.copy(f"{fast_forest}.nodes", cache)
+    NODE_CACHE_MISMATCHES[case](model, cache)
+    decoded = []
+    monkeypatch.setattr(trees, "forest_from_dict", lambda doc, load=trees.forest_from_dict: (
+        decoded.append(doc) or load(doc)))
+    with_cache = _evaluate_forest(model, workspace, tmp_path)
+    assert len(decoded) == 1  # the cache was refused and the model file decoded
+    cache.unlink(missing_ok=True)
+    assert with_cache == _evaluate_forest(model, workspace, tmp_path)
+    assert with_cache[0] == cli.EXIT_OK
+
+
+def test_a_failed_node_cache_write_leaves_no_model_file(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "model_rf.json.nodes").mkdir(parents=True)
+    rc = cli.main(["train", "--model", "rf", "--config", str(workspace.config),
+                   "--dataset", str(workspace.dataset), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA and err.count("\n") == 1
+    assert err.startswith(f"data error: cannot write {out / 'model_rf.json.nodes'}: ")
+    assert not (out / "model_rf.json").exists()
+
+
+def test_a_forest_whose_params_pass_64_bits_is_saved_without_a_node_cache(workspace,
+                                                                          tmp_path):
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps({"rf": {**FAST_CONFIG["rf"], "max_depth": 2**70}}))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--model", "rf", "--config", str(config),
+                     "--dataset", str(workspace.dataset), "--out", str(out)]) == 0
+    assert json.loads((out / "model_rf.json").read_text())["params"]["max_depth"] == 2**70
+    assert not (out / "model_rf.json.nodes").exists()
+    assert _evaluate_forest(out / "model_rf.json", workspace, out)[0] == cli.EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from candlebias.trees import (
     tree_predict_proba,
 )
 
-from conftest import separable_classification
+from conftest import NODE_CACHE_FAULTS, separable_classification
 
 
 def impurity(labels) -> float:
@@ -953,3 +954,97 @@ def test_forest_round_trip():
     assert back.n_estimators == 6 and back.seed == 3
     assert back.oob_error == forest.oob_error
     assert np.array_equal(predict_forest(back, X), predict_forest(forest, X))
+
+
+def _assert_same_forest(loaded, expected):
+    """The two forests hold equal arrays, dtypes included, and equal fields, types included."""
+    assert len(loaded.trees) == len(expected.trees)
+    for tree, want in zip(loaded.trees, expected.trees):
+        for column, want_column in zip(tree, want):
+            assert column.dtype == want_column.dtype
+            np.testing.assert_array_equal(column, want_column)
+    for field in ("params", "n_estimators", "seed", "oob_error"):
+        value, want = getattr(loaded, field), getattr(expected, field)
+        assert type(value) is type(want) and value == want
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_node_cache_loads_what_the_model_file_loads(data):
+    n = data.draw(st.integers(2, 1500), label="rows")
+    X, y = separable_classification(n, seed=data.draw(st.integers(0, 99)), noise=0.3)
+    params = TreeParams(data.draw(st.integers(1, 60)), data.draw(st.integers(1, 30)),
+                        data.draw(st.integers(1, 5)))
+    identity = data.draw(st.booleans())  # every row in bag: no OOB error
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "OOB error undefined", UserWarning)
+        forest = fit_forest(X, y, data.draw(st.integers(1, 6)), params,
+                            data.draw(st.integers(0, 2**64 - 1)),
+                            bootstrap_fn=(lambda n, s: np.arange(n)) if identity
+                            else bootstrap_sample)
+    expected = forest_from_dict(json.loads(json.dumps(forest_to_dict(forest))))
+    _assert_same_forest(trees.forest_from_nodes(trees.forest_to_nodes(expected)), expected)
+
+
+@pytest.mark.parametrize("max_features", [5, 2])
+def test_a_node_cache_holds_trees_above_one_word(max_features):
+    X, y = separable_classification(1500, seed=4, noise=0.3)
+    forest = fit_forest(X, y, 4, TreeParams(100, 2, max_features), seed=2**64 - 1)
+    assert min(np.count_nonzero(tree.feature < 0) for tree in forest.trees) > 64
+    expected = forest_from_dict(json.loads(json.dumps(forest_to_dict(forest))))
+    payload = trees.forest_to_nodes(expected)
+    _assert_same_forest(trees.forest_from_nodes(memoryview(payload)), expected)
+    X_test = np.random.default_rng(5).normal(size=(300, 5))
+    np.testing.assert_array_equal(predict_forest(trees.forest_from_nodes(payload), X_test),
+                                  predict_forest(forest, X_test))
+
+
+def _small_forest():
+    X, y = separable_classification(200, seed=3)
+    forest = forest_from_dict(json.loads(json.dumps(forest_to_dict(
+        fit_forest(X, y, 3, TreeParams(6, 4, 5), seed=8)))))
+    assert (forest.trees[0].feature[:2] >= 0).all()  # the root and node 1 split
+    return forest
+
+
+@pytest.mark.parametrize("case", sorted(NODE_CACHE_FAULTS))
+def test_a_node_cache_of_a_forest_node_from_dict_could_not_build_is_refused(case):
+    forest = _small_forest()
+    assert trees.forest_from_nodes(trees.forest_to_nodes(forest)) is not None
+    assert trees.forest_from_nodes(trees.forest_to_nodes(NODE_CACHE_FAULTS[case](forest))) is None
+
+
+_HEAD = trees._NODES_HEAD.itemsize  # then _small_forest's 3 node counts, then its nodes
+
+
+def _sizes(payload):
+    return [int(size) for size in np.frombuffer(payload, "<i8", 3, _HEAD)]
+
+
+def _counts(payload, n_estimators, *sizes):
+    """_small_forest's payload with its tree count and node counts replaced."""
+    return (n_estimators.to_bytes(8, "little", signed=True) + payload[8:_HEAD]
+            + np.array(sizes, "<i8").tobytes() + payload[_HEAD + 8 * 3:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: b"", lambda p: p[:_HEAD - 1], lambda p: p[:-1], lambda p: p[:-48],
+    lambda p: p + bytes(48), lambda p: p + b"\0", lambda p: bytes(8) + p[8:_HEAD],
+    lambda p: _counts(p, 0), lambda p: _counts(p, -1), lambda p: _counts(p, 2**62),
+    lambda p: _counts(p, 3, *_sizes(p)[1:], _sizes(p)[0]),
+    lambda p: _counts(p, 3, sum(_sizes(p)), 0, 0),
+    lambda p: _counts(p, 3, 0, 0, sum(_sizes(p))),
+    lambda p: _counts(p, 3, -1, 1, sum(_sizes(p))),
+    lambda p: _counts(p, 9, *[2**61] * 8, sum(_sizes(p)))])  # the sum wraps to the count
+def test_a_node_cache_of_the_wrong_length_or_counts_is_refused(edit):
+    payload = trees.forest_to_nodes(_small_forest())
+    assert len(set(_sizes(payload))) > 1  # so rotating them moves the trees' bounds
+    assert trees.forest_from_nodes(_counts(payload, 3, *_sizes(payload))) is not None
+    assert trees.forest_from_nodes(edit(payload)) is None
+
+
+@pytest.mark.parametrize("change", [{"seed": 2**64}, {"seed": -1},
+                                    {"params": TreeParams(2**63, 2, 5)}])
+def test_a_forest_whose_numbers_pass_64_bits_has_no_node_cache(change):
+    forest = _small_forest()
+    assert trees.forest_to_nodes(dataclasses.replace(forest, **change)) is None
