@@ -13,6 +13,11 @@ what parsing the CSV gives. read_labeled_csv takes the records from the cache
 when the digest binds it to the CSV it has just read, and otherwise parses the
 CSV into records, one line at a time: the cache is never required, and a
 stale or damaged one is ignored.
+
+A row's Next is the following row's Close wherever label built the dataset,
+so the CSV writer formats each Close once and gives a Next the text of the
+following Close when the two floats are equal bit for bit; equal is not
+enough, since 0.0 and -0.0 are equal but differ in repr.
 """
 
 from __future__ import annotations
@@ -143,14 +148,6 @@ class Standardizer:
         return cls(mean=mean, stddev=stddev)
 
 
-def _parse_float(cell: str) -> float | None:
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def ingest_csv(path, code: int) -> tuple[tuple[list, list], IngestStats]:
     """Read a JPX-style OHLCV CSV and keep the candles of one security.
 
@@ -188,7 +185,7 @@ def _ingest_rows(path, reader, code: int):
     if missing:
         raise DataError(f"{path}: missing required columns {missing}")
     code_at, date_at = index["SecuritiesCode"], index["Date"]
-    price_at = [index[c] for c in FEATURE_COLUMNS]
+    c_at, v_at, o_at, h_at, l_at = (index[c] for c in FEATURE_COLUMNS)
     width = max(index[c] for c in REQUIRED_COLUMNS) + 1
 
     dates, prices = [], []
@@ -208,19 +205,20 @@ def _ingest_rows(path, reader, code: int):
 
         try:
             date = datetime.date.fromisoformat(row[date_at].strip())
+            c, v, o, h, l = (float(row[c_at]), float(row[v_at]), float(row[o_at]),
+                             float(row[h_at]), float(row[l_at]))
         except ValueError:
             dropped_missing += 1
             continue
-        values = [_parse_float(row[i]) for i in price_at]
-        if None in values:
+        if not (math.isfinite(c) and math.isfinite(v) and math.isfinite(o) and math.isfinite(h)
+                and math.isfinite(l)):
             dropped_missing += 1
             continue
-        c, v, o, h, l = values
         if min(o, h, l, c) < 0.0 or v < 0.0 or l > min(o, c) or h < max(o, c):
             dropped_malformed += 1
             continue
         dates.append(date)
-        prices.append(values)
+        prices.append([c, v, o, h, l])
     return dates, prices, (total, matched, dropped_missing, dropped_malformed)
 
 
@@ -305,17 +303,28 @@ def write_labeled_csv(ds: LabeledDataset, path) -> None:
 
 
 def _csv_blocks(ds: LabeledDataset):
-    """The text of dataset.csv, header first, then _WRITE_BLOCK rows at a time."""
+    """The text of dataset.csv, header first, then _WRITE_BLOCK rows at a time.
+
+    Each block's Close column is formatted once: a row's Next reuses the text
+    of the following row's Close in the block when the two floats are equal
+    bit for bit, compared as int64 (0.0 and -0.0 are equal floats but differ
+    in repr). Any other Next, a block's last among them, is formatted by itself.
+    """
     yield ",".join(LABELED_COLUMNS) + "\r\n"
     for start in range(0, len(ds), _WRITE_BLOCK):
         rows = slice(start, start + _WRITE_BLOCK)
-        close, volume, open_, high, low = ds.features[rows].T.tolist()
+        features, next_close = ds.features[rows], ds.next_close[rows]
+        close, volume, open_, high, low = features.T.tolist()
+        close = list(map(repr, close))
+        nexts = close[1:] + [""]
+        reused = next_close[:-1].view(np.int64) == features[1:, 0].view(np.int64)
+        for i in np.flatnonzero(~np.append(reused, False)).tolist():
+            nexts[i] = repr(float(next_close[i]))
         dates = np.datetime_as_string((ds.dates[rows] - _EPOCH).astype("datetime64[D]"))
         yield "".join(
-            f"{d},{o!r},{h!r},{lo!r},{c!r},{v!r},{nx!r},{t}\r\n"
+            f"{d},{o!r},{h!r},{lo!r},{c},{v!r},{nx},{t}\r\n"
             for d, o, h, lo, c, v, nx, t in zip(dates.tolist(), open_, high, low, close,
-                                               volume, ds.next_close[rows].tolist(),
-                                               ds.targets[rows].tolist()))
+                                               volume, nexts, ds.targets[rows].tolist()))
 
 
 def read_labeled_csv(path) -> LabeledDataset:

@@ -659,7 +659,8 @@ def node_from_dict(d: dict) -> Tree:
     """A tree from its nested JSON form, numbered as grown.
 
     Split features are ints in range and thresholds finite numbers; leaf p_up
-    is a number in [0, 1] and n an int. A string or bool in their place is refused.
+    is a number in [0, 1] and n an int of at least 0. A string or bool in their
+    place is refused.
     """
     nodes, queue = [], [d]
     for node in queue:  # first in, first out: each split queues its left, then right child
@@ -667,7 +668,10 @@ def node_from_dict(d: dict) -> Tree:
             p_up = json_number(node["p_up"], "leaf p_up")
             if not 0.0 <= p_up <= 1.0:
                 raise ValueError(f"leaf p_up must be in [0, 1], got {p_up!r}")
-            nodes.append([-1, 0.0, -1, -1, p_up, json_number(node["n"], "leaf n", integer=True)])
+            n = json_number(node["n"], "leaf n", integer=True)
+            if n < 0:
+                raise ValueError(f"leaf n must be at least 0, got {n!r}")
+            nodes.append([-1, 0.0, -1, -1, p_up, n])
             continue
         feature = json_number(node["feature"], "split feature", integer=True)
         if not 0 <= feature < N_FEATURES:
@@ -689,16 +693,23 @@ def forest_to_dict(forest: ForestModel) -> dict:
 
 
 def forest_from_dict(d: dict) -> ForestModel:
+    """A forest from its JSON form: params valid for N_FEATURES features, a seed
+    in [0, 2**64) as mix64 gives, and n_estimators trees, at least one."""
     n_estimators = json_number(d["n_estimators"], "n_estimators", integer=True)
     if not d["trees"]:
         raise ValueError("forest has no trees")
     if n_estimators != len(d["trees"]):
         raise ValueError(f"n_estimators {n_estimators!r} but {len(d['trees'])} trees")
+    params = TreeParams.from_dict(d["params"])
+    params.validate(N_FEATURES)
+    seed = json_number(d["seed"], "seed", integer=True)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
     return ForestModel(
         trees=[node_from_dict(t) for t in d["trees"]],
-        params=TreeParams.from_dict(d["params"]),
+        params=params,
         n_estimators=n_estimators,
-        seed=json_number(d["seed"], "seed", integer=True),
+        seed=seed,
         oob_error=None if d["oob_error"] is None else json_number(d["oob_error"], "oob_error"),
     )
 

@@ -842,6 +842,17 @@ BAD_INPUT_FILES = {
     "rf_fractional_seed": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), seed=2.5)),
     "rf_max_depth_string": ("model", lambda ws: _with_keys(
         _rf_model([_LEAF]), params={**_TREE_PARAMS, "max_depth": "7"})),
+    "rf_max_depth_zero": ("model", lambda ws: _with_keys(
+        _rf_model([_LEAF]), params={**_TREE_PARAMS, "max_depth": 0})),
+    "rf_min_samples_split_negative": ("model", lambda ws: _with_keys(
+        _rf_model([_LEAF]), params={**_TREE_PARAMS, "min_samples_split": -3})),
+    "rf_max_features_above_the_feature_count": ("model", lambda ws: _with_keys(
+        _rf_model([_LEAF]), params={**_TREE_PARAMS, "max_features": 9})),
+    "rf_negative_seed": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), seed=-5)),
+    "rf_seed_past_64_bits": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), seed=2**64)),
+    "rf_leaf_n_negative": ("model", lambda ws: _rf_model([{"p_up": 1.0, "n": -7}])),
+    "dt_leaf_n_negative": ("model", lambda ws: json.dumps(
+        {**_split(2), "left": {"p_up": 0.5, "n": -1}})),
     "raw_not_utf8": ("raw", lambda ws: b"\xff\xfe" + ws.raw.read_bytes()),
     "config_section_not_object": ("config", lambda ws: json.dumps({"lr": 5})),
     "config_split_one_fraction": ("config", lambda ws: json.dumps({"split": [0.7]})),

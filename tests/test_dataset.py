@@ -203,6 +203,49 @@ def test_ingest_and_prepare_match_the_dict_reader_ingest(tmp_path):
     assert digest == PARITY_DATASET_SHA256
 
 
+def _spelled_rows(cell):
+    """Twelve valid candles, then five rows holding cell in one price column
+    each: Open, High, Low, Close, then Volume."""
+    rows = [f"2021-02-{day:02d},6758,12,13,11,12.{day},{100 + day}" for day in range(1, 13)]
+    for j in range(5):
+        fields = ["12", "13", "11", "12.5", "100"]
+        fields[j] = cell
+        rows.append(f"2021-03-{j + 1:02d},6758," + ",".join(fields))
+    return rows
+
+
+_FIVE_MISSING = "f36ecb65e8345e8e0233ea5e99d7d25bf0dd73a833b75d9e5f3c53fca07fd025"
+_READ_AS_12 = "8cc04830149cc9f6eb009f2869c64597f1382e3bdfd7312c3229c9721125d726"
+
+
+# Each price spelling: its (total, matched, missing, malformed) counts and the
+# sha256 of the dataset.csv prepare writes. float() reads "1_000", " 12 " and
+# Arabic-Indic digits; an unparseable or non-finite cell counts as missing.
+# Taken from the per-cell parser that the inline parse replaced; edit neither.
+PRICE_SPELLINGS = {
+    "nan": ((17, 17, 5, 0), _FIVE_MISSING),
+    "inf": ((17, 17, 5, 0), _FIVE_MISSING),
+    "-inf": ((17, 17, 5, 0), _FIVE_MISSING),
+    "1e309": ((17, 17, 5, 0), _FIVE_MISSING),
+    "1_000": ((17, 17, 0, 3),
+              "baef11fe42364662382e21047fda1060d00520d50348e2b005eb2df0692eeebc"),
+    " 12 ": ((17, 17, 0, 1), _READ_AS_12),
+    "": ((17, 17, 5, 0), _FIVE_MISSING),
+    "0x10": ((17, 17, 5, 0), _FIVE_MISSING),
+    "\u0661\u0662": ((17, 17, 0, 1), _READ_AS_12),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PRICE_SPELLINGS))
+def test_ingest_buckets_each_price_spelling(cell, tmp_path):
+    counts, sha256 = PRICE_SPELLINGS[cell]
+    raw = _write(tmp_path, _spelled_rows(cell))
+    _, stats = ingest_csv(raw, 6758)
+    assert stats == IngestStats(*counts)
+    assert cli.main(["prepare", "--data", str(raw), "--out", str(tmp_path / "out")]) == 0
+    assert hashlib.sha256((tmp_path / "out" / "dataset.csv").read_bytes()).hexdigest() == sha256
+
+
 # ---------------------------------------------------------------------------
 # label
 
@@ -428,6 +471,46 @@ def test_write_labeled_csv_matches_a_row_by_row_writer(tmp_path):
             writer.writerow([datetime.date.fromordinal(day).isoformat(), open_, high, low,
                              close, volume,
                              ds.next_close[i], int(ds.targets[i])])
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def _with_pair(ds, i, next_close_i, close_after):
+    """ds with next_close[i] and the Close of row i + 1 (unless None) replaced,
+    and targets relabeled to match."""
+    features, next_close = ds.features.copy(), ds.next_close.copy()
+    next_close[i] = next_close_i
+    if close_after is not None:
+        features[i + 1, 0] = close_after
+    return LabeledDataset(features, next_close, (next_close > features[:, 0]).astype(np.int64),
+                          ds.dates.copy())
+
+
+# A row's Next and the following row's Close (None: left as it is), each pair
+# put inside a write block (rows 500 and 501) and across the boundary between
+# two blocks (rows 1023 and 1024).
+_NEXT_CLOSE_PAIRS = {
+    "equal_but_signed_zeros": (0.0, -0.0),
+    "equal_but_negative_zero_first": (-0.0, 0.0),
+    "next_differs": (123.25, None),
+    "next_one_ulp_above": (math.nextafter(100.0, math.inf), 100.0),
+}
+
+
+@pytest.mark.parametrize("row", [500, 1023])
+@pytest.mark.parametrize("case", sorted(_NEXT_CLOSE_PAIRS))
+def test_next_cells_match_a_row_by_row_writer(case, row, tmp_path):
+    ds = _with_pair(_dataset(1030), row, *_NEXT_CLOSE_PAIRS[case])
+    path = tmp_path / "labeled.csv"
+    write_labeled_csv(ds, path)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABELED_COLUMNS)
+        for day, (close, volume, open_, high, low), nx, target in zip(
+                ds.dates.tolist(), ds.features.tolist(), ds.next_close.tolist(),
+                ds.targets.tolist()):
+            writer.writerow([datetime.date.fromordinal(day).isoformat(), open_, high, low,
+                             close, volume, nx, target])
     assert path.read_bytes() == reference.read_bytes()
 
 
