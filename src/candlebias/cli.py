@@ -11,9 +11,9 @@ Subcommands
               it writes nothing unless all four fit and score
 
 A model file's bytes are read once. A forest is taken from the node cache
-beside its file when the cache's digest binds it to those bytes and its
-arrays pass forest_from_nodes's checks; otherwise the JSON is decoded, so the
-model file stays the only one evaluate needs.
+beside its file when the cache's digest binds it to those bytes and it passes
+the rule that the JSON loader applies, one shared check; otherwise the JSON is
+decoded, so the model file stays the only one evaluate needs.
 
 Exit statuses: 0 success, 1 usage error, 2 data error (a file that cannot be
 read or written included), 3 training error. A library warning (an undefined

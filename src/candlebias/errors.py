@@ -1,6 +1,7 @@
 """Exception types, and the checks that raise them, shared across the package."""
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -34,7 +35,7 @@ def json_number(value, name: str, shape: tuple = (), integer: bool = False):
     """
     if not shape:
         if type(value) is int or (type(value) is float and not integer
-                                  and -np.inf < value < np.inf):
+                                  and math.isfinite(value)):
             return value if integer else float(value)
         raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}, "
                          f"got {value!r}")
@@ -42,7 +43,7 @@ def json_number(value, name: str, shape: tuple = (), integer: bool = False):
     if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     bad = [x for x in array.flat if type(x) is not int and (
-        integer or type(x) is not float or not -np.inf < x < np.inf)]
+        integer or type(x) is not float or not math.isfinite(x))]
     if bad:
         raise ValueError(f"{name} must hold only {'integers' if integer else 'finite numbers'}, "
                          f"got {bad[0]!r}")

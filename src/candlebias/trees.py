@@ -6,9 +6,9 @@ and tree t of a forest depends only on (master seed, t).
 
 A tree is one :class:`Tree` of parallel node arrays, which fitting builds and
 prediction reads; only a model file nests it (node_to_dict, node_from_dict).
-A forest's node cache holds its arrays flat (forest_to_nodes), and loading it
-checks that they are a forest node_from_dict could have built
-(forest_from_nodes).
+A forest's node cache holds its arrays flat (forest_to_nodes). Every loader
+checks all the nodes it reads at once by one rule (_checked_trees), and a
+forest's fields by one more (_forest), so each accepts just what fitting writes.
 Fitting grows trees one depth level at a time: a forest grows a batch of trees
 together, each on its bootstrap given as a count per row, and a plain tree is
 the one-tree batch in which every row counts once (see _grow). A forest grows
@@ -52,6 +52,7 @@ _NODES_HEAD = np.dtype([("n_estimators", "<i8"), ("seed", "<u8"), ("max_depth", 
                         ("min_samples_split", "<i8"), ("max_features", "<i8"),
                         ("oob_error", "<f8")])  # NaN for none
 _NODE_COLUMNS = tuple(map(np.dtype, ("<i8", "<f8", "<i8", "<i8", "<f8", "<i8")))
+_TREE_DTYPES = (np.intp, float, np.intp, np.intp, float, np.intp)  # of Tree's columns in memory
 
 
 @dataclass
@@ -65,11 +66,6 @@ class TreeParams:
             raise ValueError("max_depth and min_samples_split must be positive")
         if not (1 <= self.max_features <= n_features):
             raise ValueError(f"max_features must be in 1..{n_features}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeParams":
-        return cls(*(json_number(d[key], f"params {key}", integer=True)
-                     for key in ("max_depth", "min_samples_split", "max_features")))
 
 
 class Tree(NamedTuple):
@@ -88,14 +84,6 @@ class Tree(NamedTuple):
     right: np.ndarray
     p_up: np.ndarray
     n: np.ndarray
-
-
-def _tree(nodes: list) -> Tree:
-    """Tree from node rows [feature, threshold, left, right, p_up, n]."""
-    feature, threshold, left, right, p_up, n = zip(*nodes)
-    return Tree(np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
-                np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-                np.array(p_up, dtype=float), np.array(n, dtype=np.intp))
 
 
 @dataclass
@@ -655,31 +643,65 @@ def node_to_dict(tree: Tree) -> dict:
     return nodes[0]
 
 
-def node_from_dict(d: dict) -> Tree:
-    """A tree from its nested JSON form, numbered as grown.
+def _checked_trees(sizes: np.ndarray, columns) -> list:
+    """The trees of the Tree columns, sizes[t] >= 1 nodes of tree t in tree order;
+    ValueError unless fitting could have grown them, numbered as grown.
 
-    Split features are ints in range and thresholds finite numbers; leaf p_up
-    is a number in [0, 1] and n an int of at least 0. A string or bool in their
-    place is refused.
+    A node with a left child is a split. A tree's k-th split has feature
+    0..N_FEATURES - 1, a finite threshold, p_up and n 0, and its children at
+    nodes 2k + 1 and 2k + 2, after it; a leaf has feature, left and right -1,
+    threshold 0, p_up in [0, 1] and n at least 0; and a tree of s splits has
+    2s + 1 nodes, the last a leaf, so every node but the root has one parent,
+    before it. The message names the first of these rules broken and its first node.
     """
-    nodes, queue = [], [d]
-    for node in queue:  # first in, first out: each split queues its left, then right child
-        if "p_up" in node:
-            p_up = json_number(node["p_up"], "leaf p_up")
-            if not 0.0 <= p_up <= 1.0:
-                raise ValueError(f"leaf p_up must be in [0, 1], got {p_up!r}")
-            n = json_number(node["n"], "leaf n", integer=True)
-            if n < 0:
-                raise ValueError(f"leaf n must be at least 0, got {n!r}")
-            nodes.append([-1, 0.0, -1, -1, p_up, n])
-            continue
-        feature = json_number(node["feature"], "split feature", integer=True)
-        if not 0 <= feature < N_FEATURES:
-            raise ValueError(f"split feature must be in 0..{N_FEATURES - 1}, got {feature!r}")
-        threshold = json_number(node["threshold"], "split threshold")
-        nodes.append([feature, threshold, len(queue), len(queue) + 1, 0.0, 0])
-        queue += (node["left"], node["right"])
-    return _tree(nodes)
+    feature, threshold, left, right, p_up, n = columns
+    firsts = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(len(sizes)), sizes)
+    at = np.arange(len(feature)) - firsts[tree_of]  # index within its tree
+    leaf = left < 0
+    k = np.cumsum(~leaf) - ~leaf  # splits before each node, then within its tree
+    k -= k[firsts][tree_of]
+    rules = {  # each rule, and the nodes that keep it; a leaf keeps a split's rules
+        f"split feature must be in 0..{N_FEATURES - 1}": leaf | np.isin(feature, range(N_FEATURES)),
+        "split threshold must be finite": leaf | np.isfinite(threshold),
+        "split k must come before its children, nodes 2k + 1 and 2k + 2": leaf | (
+            (left == 2 * k + 1) & (right == 2 * k + 2) & (at <= 2 * k)),
+        "split p_up and n must be 0": leaf | (p_up == 0.0) & (n == 0),
+        "leaf feature, left and right must be -1 and threshold 0": ~leaf | (
+            (feature == -1) & (left == -1) & (right == -1) & (threshold == 0.0)),
+        "leaf p_up must be in [0, 1]": ~leaf | (0.0 <= p_up) & (p_up <= 1.0),
+        "leaf n must be at least 0": ~leaf | (n >= 0),
+        "a tree of s splits has 2s + 1 nodes": (at < sizes[tree_of] - 1) | leaf & (at == 2 * k),
+    }
+    for rule, kept in rules.items():
+        if not kept.all():
+            node = np.argmin(kept)
+            raise ValueError(f"tree {tree_of[node]} node {at[node]}: {rule}")
+    return [Tree(*(c[a:a + m] for c in columns)) for a, m in zip(firsts.tolist(), sizes.tolist())]
+
+
+def _flattened(docs) -> tuple:
+    """(node count per tree, Tree columns) of nested JSON trees, each numbered breadth
+    first; each number is read through json_number, and _checked_trees does the rest."""
+    rows, sizes = [], []
+    for doc in docs:
+        queue = [doc]
+        for node in queue:  # first in, first out: each split queues its left, then right child
+            if "p_up" in node:
+                rows.append((-1, 0.0, -1, -1, json_number(node["p_up"], "leaf p_up"),
+                             json_number(node["n"], "leaf n", integer=True)))
+            else:
+                rows.append((json_number(node["feature"], "split feature", integer=True),
+                             json_number(node["threshold"], "split threshold"),
+                             len(queue), len(queue) + 1, 0.0, 0))
+                queue += (node["left"], node["right"])
+        sizes.append(len(queue))
+    return np.array(sizes), [np.array(c, t) for c, t in zip(zip(*rows), _TREE_DTYPES)]
+
+
+def node_from_dict(d: dict) -> Tree:
+    """A tree from its nested JSON form; ValueError unless fitting could have grown it."""
+    return _checked_trees(*_flattened([d]))[0]
 
 
 def forest_to_dict(forest: ForestModel) -> dict:
@@ -692,26 +714,31 @@ def forest_to_dict(forest: ForestModel) -> dict:
     }
 
 
-def forest_from_dict(d: dict) -> ForestModel:
-    """A forest from its JSON form: params valid for N_FEATURES features, a seed
-    in [0, 2**64) as mix64 gives, and n_estimators trees, at least one."""
-    n_estimators = json_number(d["n_estimators"], "n_estimators", integer=True)
-    if not d["trees"]:
-        raise ValueError("forest has no trees")
-    if n_estimators != len(d["trees"]):
-        raise ValueError(f"n_estimators {n_estimators!r} but {len(d['trees'])} trees")
-    params = TreeParams.from_dict(d["params"])
+def _forest(params: TreeParams, n_estimators, seed, oob_error, sizes, columns) -> ForestModel:
+    """The forest of these fields and its trees' columns; ValueError unless fitting could
+    have written it: params valid for N_FEATURES features, a seed in [0, 2**64) as mix64
+    gives, n_estimators trees, at least 1, that _checked_trees accepts, and an oob_error
+    that is None or in [0, 1]."""
     params.validate(N_FEATURES)
-    seed = json_number(d["seed"], "seed", integer=True)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
-    return ForestModel(
-        trees=[node_from_dict(t) for t in d["trees"]],
-        params=params,
-        n_estimators=n_estimators,
-        seed=seed,
-        oob_error=None if d["oob_error"] is None else json_number(d["oob_error"], "oob_error"),
-    )
+    if not 1 <= n_estimators == len(sizes):
+        raise ValueError(f"n_estimators {n_estimators!r} but {len(sizes)} trees; at least 1")
+    if oob_error is not None and not 0.0 <= oob_error <= 1.0:
+        raise ValueError(f"oob_error must be none or in [0, 1], got {oob_error!r}")
+    return ForestModel(_checked_trees(sizes, columns), params, n_estimators, seed, oob_error)
+
+
+def forest_from_dict(d: dict) -> ForestModel:
+    """A forest from its JSON form; ValueError unless fitting could have written it."""
+    oob_error = d["oob_error"]
+    params = (json_number(d["params"][key], f"params {key}", integer=True)
+              for key in ("max_depth", "min_samples_split", "max_features"))
+    return _forest(TreeParams(*params),
+                   json_number(d["n_estimators"], "n_estimators", integer=True),
+                   json_number(d["seed"], "seed", integer=True),
+                   None if oob_error is None else json_number(oob_error, "oob_error"),
+                   *_flattened(d["trees"]))
 
 
 def forest_to_nodes(forest: ForestModel) -> bytes | None:
@@ -732,53 +759,24 @@ def forest_to_nodes(forest: ForestModel) -> bytes | None:
 
 
 def forest_from_nodes(payload) -> ForestModel | None:
-    """The forest of a node cache's payload; None unless it is one that
-    forest_from_dict could have loaded, which these checks, over all nodes at
-    once, make sure of. There are n_estimators trees, at least one; params are
-    valid, and oob_error is finite or none. Each tree is numbered as
-    node_from_dict numbers it: its k-th split (feature 0..4, finite threshold,
-    p_up and n 0) has its children at nodes 2k + 1 and 2k + 2, after itself,
-    and a tree of s splits has 2s + 1 nodes, so every node but the root has
-    one parent, before it, and none is unreachable; a leaf has feature, left
-    and right -1, threshold 0, p_up in [0, 1] and n at least 0.
-    """
+    """The forest of a node cache's payload; None unless its header and node
+    counts fit its length and _forest accepts them, as it does a model file's."""
     size, start = len(payload), _NODES_HEAD.itemsize
-    if size < start:
-        return None
-    head = np.frombuffer(payload, _NODES_HEAD, 1)[0]
-    params = TreeParams(*(int(head[key]) for key in ("max_depth", "min_samples_split",
-                                                     "max_features")))
-    n_trees, oob_error = int(head["n_estimators"]), float(head["oob_error"])
-    try:
-        params.validate(N_FEATURES)
+    try:  # frombuffer refuses a payload shorter than the head
+        head = np.frombuffer(payload, _NODES_HEAD, 1)[0]
+        n_trees, oob_error = int(head["n_estimators"]), float(head["oob_error"])
+        if not 1 <= n_trees <= (size - start) // 8:
+            return None
+        sizes = np.frombuffer(payload, "<i8", n_trees, start)
+        start += 8 * n_trees
+        n_nodes, rest = divmod(size - start, 8 * len(_NODE_COLUMNS))
+        if rest or not ((1 <= sizes) & (sizes <= n_nodes)).all() or sizes.sum() != n_nodes:
+            return None
+        columns = [np.frombuffer(payload, stored, n_nodes, start + 8 * n_nodes * i)
+                   .astype(dtype, copy=False)
+                   for i, (stored, dtype) in enumerate(zip(_NODE_COLUMNS, _TREE_DTYPES))]
+        params = (int(head[key]) for key in ("max_depth", "min_samples_split", "max_features"))
+        return _forest(TreeParams(*params), n_trees, int(head["seed"]),
+                       None if math.isnan(oob_error) else oob_error, sizes, columns)
     except ValueError:
         return None
-    if math.isinf(oob_error) or not 1 <= n_trees <= (size - start) // 8:
-        return None
-    sizes = np.frombuffer(payload, "<i8", n_trees, start)
-    start += 8 * n_trees
-    n_nodes, rest = divmod(size - start, 8 * len(_NODE_COLUMNS))
-    if rest or not ((1 <= sizes) & (sizes <= n_nodes)).all() or sizes.sum() != n_nodes:
-        return None
-    columns = [np.frombuffer(payload, dtype, n_nodes, start + 8 * n_nodes * i)
-               for i, dtype in enumerate(_NODE_COLUMNS)]
-    feature, threshold, left, right, p_up, n = columns
-    firsts = np.cumsum(sizes) - sizes
-    split = feature >= 0
-    before = np.cumsum(split) - split  # splits before each node, then within its tree
-    before -= np.repeat(before[firsts], sizes)
-    child = 2 * before + 1
-    canonical = np.where(
-        split, (feature < N_FEATURES) & (left == child) & (right == child + 1)
-        & (np.arange(n_nodes) - np.repeat(firsts, sizes) < child) & np.isfinite(threshold)
-        & (p_up == 0.0) & (n == 0),
-        (feature == -1) & (left == -1) & (right == -1) & (threshold == 0.0)
-        & (0.0 <= p_up) & (p_up <= 1.0) & (n >= 0))
-    if not (canonical.all() and np.array_equal(
-            sizes, 2 * np.add.reduceat(split, firsts, dtype=np.int64) + 1)):
-        return None
-    columns = (c.astype(np.intp if c.dtype.kind == "i" else float, copy=False)
-               for c in columns)
-    return ForestModel(trees=[Tree(*c) for c in zip(*(np.split(c, firsts[1:]) for c in columns))],
-                       params=params, n_estimators=n_trees, seed=int(head["seed"]),
-                       oob_error=None if math.isnan(oob_error) else oob_error)

@@ -135,4 +135,5 @@ NODE_CACHE_FAULTS = {
     "max_depth_0": lambda f: dataclasses.replace(
         f, params=dataclasses.replace(f.params, max_depth=0)),
     "oob_error_infinite": lambda f: dataclasses.replace(f, oob_error=np.inf),
+    "oob_error_negative": lambda f: dataclasses.replace(f, oob_error=-0.5),
 }

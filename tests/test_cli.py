@@ -839,6 +839,8 @@ BAD_INPUT_FILES = {
     "fnn_config_empty_object": ("model", lambda ws: _with_keys(_fnn_model([5, 1], [(1, 5)]),
                                                                 config={})),
     "rf_oob_error_string": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), oob_error="0.4")),
+    "rf_oob_error_negative": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), oob_error=-0.5)),
+    "rf_oob_error_above_one": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), oob_error=1.5)),
     "rf_fractional_seed": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), seed=2.5)),
     "rf_max_depth_string": ("model", lambda ws: _with_keys(
         _rf_model([_LEAF]), params={**_TREE_PARAMS, "max_depth": "7"})),
@@ -893,6 +895,21 @@ def test_bad_input_files_exit_data_with_one_line(case, trained, tmp_path, capsys
     if kind == "model":  # a stale node cache beside the file changes nothing
         shutil.copy(trained.out / "model_rf.json.nodes", f"{bad}.nodes")
         assert cli.main(argv) == rc and capsys.readouterr().err == err
+
+
+def test_a_refused_forest_file_names_the_rule_the_tree_and_the_node(trained, tmp_path, capsys):
+    # breadth first, tree 1 has splits at nodes 0, 1 and 3, and leaves at 2, 4, 5 and 6
+    deep = {**_split(0), "left": {**_split(1), "left": {**_split(2),
+                                                         "right": {"p_up": 1.5, "n": 2}}}}
+    bad = tmp_path / "model_rf.json"
+    bad.write_text(json.dumps({"n_estimators": 2, "seed": 0, "oob_error": None,
+                               "params": {**_TREE_PARAMS, "max_depth": 3},
+                               "trees": [_LEAF, deep]}))
+    rc = cli.main(["evaluate", "--model-file", str(bad), "--dataset", str(trained.dataset),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err == f"data error: model file {bad}: tree 1 node 6: leaf p_up must be in [0, 1]\n"
 
 
 def _with_cell(lines, index, column, cell):

@@ -16,6 +16,7 @@ from candlebias.errors import TrainingDivergedError
 from candlebias.seeding import mix64
 from candlebias.trees import (
     ForestModel,
+    Tree,
     TreeParams,
     bootstrap_sample,
     fit_forest,
@@ -37,6 +38,11 @@ def impurity(labels) -> float:
     if y.size == 0:
         raise ValueError("impurity of an empty label set is undefined")
     return float(trees._entropy(int(y.sum()), y.size))
+
+
+def tree_of_rows(nodes) -> Tree:
+    """The Tree of node rows [feature, threshold, left, right, p_up, n], unchecked."""
+    return Tree(*(np.array(c, dtype) for c, dtype in zip(zip(*nodes), trees._TREE_DTYPES)))
 
 
 def predict_tree(tree, x) -> float:
@@ -370,8 +376,8 @@ def test_scorer_equals_the_per_row_oracle_on_trees_either_side_of_one_word(
 
 def test_scorer_sends_every_row_right_at_a_nan_threshold():
     # a model file cannot hold one, but a Tree made in code can
-    tree = trees._tree([[0, np.nan, 1, 2, 0.0, 0], [-1, 0.0, -1, -1, 0.25, 1],
-                        [-1, 0.0, -1, -1, 0.75, 1]])
+    tree = tree_of_rows([[0, np.nan, 1, 2, 0.0, 0], [-1, 0.0, -1, -1, 0.25, 1],
+                         [-1, 0.0, -1, -1, 0.75, 1]])
     X = _scoring_rows(np.random.default_rng(22))
     assert np.array_equal(tree_predict_proba(tree, X), [0.75] * len(X))
     assert np.array_equal(tree_predict_proba(tree, X), [predict_tree(tree, x) for x in X])
@@ -561,8 +567,8 @@ def _breadth_first(nodes):
         if nodes[i][0] >= 0:
             order += [nodes[i][2], nodes[i][3]]
     at = {i: k for k, i in enumerate(order)}
-    return trees._tree([[f, t, at.get(l, -1), at.get(r, -1), p, n]
-                        for f, t, l, r, p, n in (nodes[i] for i in order)])
+    return tree_of_rows([[f, t, at.get(l, -1), at.get(r, -1), p, n]
+                         for f, t, l, r, p, n in (nodes[i] for i in order)])
 
 
 def _reference_fit_tree(X, y, params, feature_sampler=None):
@@ -641,7 +647,7 @@ def _reference_breadth_first_fit(X, y, params, feature_sampler):
         goes_left = X[rows, f] <= threshold
         queue.append((rows[goes_left], depth + 1, (i, 2)))
         queue.append((rows[~goes_left], depth + 1, (i, 3)))
-    return trees._tree(nodes)
+    return tree_of_rows(nodes)
 
 
 def test_feature_draws_follow_breadth_first_order():
@@ -1012,6 +1018,25 @@ def test_a_node_cache_of_a_forest_node_from_dict_could_not_build_is_refused(case
     forest = _small_forest()
     assert trees.forest_from_nodes(trees.forest_to_nodes(forest)) is not None
     assert trees.forest_from_nodes(trees.forest_to_nodes(NODE_CACHE_FAULTS[case](forest))) is None
+
+
+# NODE_CACHE_FAULTS that a model file cannot carry: node_to_dict writes a tree
+# by following its child links and keeps only split features and thresholds and
+# leaf p_up and n, so these faults are dropped or renumbered on the way out, or
+# writing or loading fails on them (IndexError, TypeError) before any rule.
+_STRUCTURAL_FAULTS = {
+    "child_out_of_range", "left_child_is_the_root", "right_child_points_back_to_the_root",
+    "split_is_its_own_child", "children_swapped", "leaf_feature_minus_2",
+    "leaf_with_a_left_child", "leaf_with_a_right_child", "leaf_threshold_not_zero",
+    "split_p_up_not_zero", "split_n_not_zero", "unreachable_leaf"}
+
+
+@pytest.mark.parametrize("case", sorted(set(NODE_CACHE_FAULTS) - _STRUCTURAL_FAULTS))
+def test_a_model_file_of_a_forest_whose_node_cache_is_refused_is_refused(case):
+    assert _STRUCTURAL_FAULTS < set(NODE_CACHE_FAULTS)
+    doc = json.loads(json.dumps(forest_to_dict(NODE_CACHE_FAULTS[case](_small_forest()))))
+    with pytest.raises(ValueError):
+        forest_from_dict(doc)
 
 
 _HEAD = trees._NODES_HEAD.itemsize  # then _small_forest's 3 node counts, then its nodes
