@@ -176,8 +176,9 @@ def _fit_lr(X, y, params: dict, seed: int):
             {"cost": model.cost_history.tolist()})
 
 
-def _tree_params(params: dict):
-    return trees.TreeParams(**{k: int(v) for k, v in params.items() if k != "n_estimators"})
+def _tree_params(params: dict):  # the DT draws no features: it has all N_FEATURES
+    return trees.TreeParams(int(params["max_depth"]), int(params["min_samples_split"]),
+                            int(params.get("max_features", dataset.N_FEATURES)))
 
 
 def _fit_dt(X, y, params: dict, seed: int):
@@ -461,14 +462,15 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--data", help="raw OHLCV CSV (default: $%s/%s)"
                         % (DATA_DIR_ENV, DATA_FILE_NAME))
-    common.add_argument("--code", type=int, help="securities code to keep (default 6758)")
+    common.add_argument("--code", type=int,
+                        help=f"securities code to keep (default {DEFAULT_CONFIG['code']})")
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--seed", type=int, help="master seed (default 42)")
-    common.add_argument("--split", type=_parse_split,
-                        help="train,validation fractions, e.g. 0.7,0.15")
+    common.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_CONFIG['seed']})")
+    common.add_argument("--split", type=_parse_split, help="train,validation fractions "
+                        "(default %s,%s)" % tuple(DEFAULT_CONFIG["split"]))
     common.add_argument("--format", choices=list(metrics.REPORT_FORMATS),
-                        help="report format (default table)")
-    common.add_argument("--out", help="output directory (default ./out)")
+                        help=f"report format (default {DEFAULT_CONFIG['format']})")
+    common.add_argument("--out", help=f"output directory (default {DEFAULT_CONFIG['out']})")
     common.add_argument("--dataset", help="prepared dataset CSV "
                         "(default <out>/dataset.csv)")
 

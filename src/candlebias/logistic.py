@@ -15,8 +15,6 @@ import numpy as np
 from .dataset import N_FEATURES
 from .errors import TrainingDivergedError, json_number
 
-DEFAULT_ALPHA = 0.01
-DEFAULT_EPOCHS = 1000
 LOG_EPS = 1e-15
 
 _P_LO = np.finfo(float).tiny
@@ -72,8 +70,7 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((X.shape[0], 1)), X])
 
 
-def train(X: np.ndarray, y: np.ndarray,
-          alpha: float = DEFAULT_ALPHA, epochs: int = DEFAULT_EPOCHS) -> LogisticModel:
+def train(X: np.ndarray, y: np.ndarray, alpha: float, epochs: int) -> LogisticModel:
     """Fit by full-batch gradient descent from theta = 0.
 
     One update per epoch: theta <- theta - alpha * (1/N) X^T (sigmoid(X theta) - y),

@@ -1,4 +1,4 @@
-"""Feedforward binary classifier (default 5-128-64-1) trained with Adam.
+"""Feedforward binary classifier (the paper's is 5-128-64-1) trained with Adam.
 
 Hidden layers use the rectifier max(0, z); the single output unit is a
 sigmoid. All arithmetic is double precision so the finite-difference
@@ -19,7 +19,7 @@ the call ends, give every row the bits of one pass over all of the call's rows.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .dataset import N_FEATURES
 from .errors import TrainingDivergedError, json_number
 from .logistic import bce_loss, sigmoid
 
-DEFAULT_LAYER_DIMS = (5, 128, 64, 1)
 LEARNING_RATE, BETA1, BETA2, EPSILON = 0.001, 0.9, 0.999, 1e-8  # Adam's defaults
 _SCORE_ROWS = 1024  # rows per forward block; never smaller, or the bits can change
 
@@ -53,19 +52,17 @@ class AdamState:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 32
-    validation_fraction: float = 0.20
-    shuffle_seed: int = 0
+    epochs: int
+    batch_size: int
+    validation_fraction: float
+    shuffle_seed: int
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         if not isinstance(d, dict):
             raise ValueError(f"config must be an object, got {d!r}")
-        return cls(json_number(d["epochs"], "config epochs", integer=True),
-                   json_number(d["batch_size"], "config batch_size", integer=True),
-                   json_number(d["validation_fraction"], "config validation_fraction"),
-                   json_number(d["shuffle_seed"], "config shuffle_seed", integer=True))
+        return cls(*(json_number(d[f.name], f"config {f.name}", integer=f.type == "int")
+                     for f in fields(cls)))
 
 
 @dataclass
@@ -74,7 +71,7 @@ class LossHistory:
     validation: list = field(default_factory=list)
 
 
-def init_network(seed: int, layer_dims=DEFAULT_LAYER_DIMS) -> NetworkModel:
+def init_network(seed: int, layer_dims) -> NetworkModel:
     """Seeded init: weights uniform in +-sqrt(6 / (fan_in + fan_out)), biases zero."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -157,8 +154,7 @@ def _check_layer_dims(layer_dims, n_inputs: int) -> None:
                          f"every width an integer of at least 1, got {list(layer_dims)}")
 
 
-def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None,
-                  seed: int = 0, layer_dims=DEFAULT_LAYER_DIMS):
+def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int, layer_dims):
     """Train on seeded-shuffled mini-batches; returns (model, per-epoch losses).
 
     The chronologically last validation_fraction of the rows is held out for
@@ -166,7 +162,6 @@ def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = Non
     seeded generator; the final short batch is used, not dropped. Epoch losses
     are full-pass evaluations after the epoch's updates.
     """
-    config = config or TrainConfig()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)

@@ -33,7 +33,7 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,6 @@ from .dataset import N_FEATURES
 from .errors import TrainingDivergedError, json_number
 from .seeding import mix64
 
-DEFAULT_N_ESTIMATORS = 250
 _FEATURE_STREAM = 1  # stream index for per-node feature sampling, vs 0 for bootstrap
 _BATCH_ENTRIES = 8192  # (tree, row) entries grown together; bounds the grower's arrays
 _TABLE_ROWS = 1023  # entropy table rows n; a level with a larger node computes entropies
@@ -57,13 +56,13 @@ _TREE_DTYPES = (np.intp, float, np.intp, np.intp, float, np.intp)  # of Tree's c
 
 @dataclass
 class TreeParams:
-    max_depth: int = 100
-    min_samples_split: int = 100
-    max_features: int = 5
+    max_depth: int
+    min_samples_split: int
+    max_features: int
 
-    def validate(self, n_features: int) -> None:
-        if self.max_depth < 1 or self.min_samples_split < 1:
-            raise ValueError("max_depth and min_samples_split must be positive")
+    def validate(self, n_features: int) -> None:  # 2**63: a node cache keeps "<i8"
+        if not (1 <= self.max_depth < 2**63 and 1 <= self.min_samples_split < 2**63):
+            raise ValueError("max_depth and min_samples_split must be in [1, 2**63)")
         if not (1 <= self.max_features <= n_features):
             raise ValueError(f"max_features must be in 1..{n_features}")
 
@@ -317,7 +316,7 @@ def _grow(X, y, counts, params: TreeParams, samplers, by_value, table) -> list:
     return [Tree(*c) for c in zip(*(np.split(c[order], ends[:-1]) for c in columns))]
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
+def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams,
              feature_sampler: np.random.Generator | None = None) -> Tree:
     """Grow a tree greedily, one depth level at a time; x[feature] <= threshold goes left.
 
@@ -330,7 +329,6 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams | None = None,
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    params = params or TreeParams()
     params.validate(X.shape[1])
     if len(y) < 1:
         raise ValueError("tree training needs at least 1 row")
@@ -542,11 +540,8 @@ def _reply(pid: int, pipe):
     return value
 
 
-def fit_forest(X: np.ndarray, y: np.ndarray,
-               n_estimators: int = DEFAULT_N_ESTIMATORS,
-               params: TreeParams | None = None,
-               seed: int = 0,
-               bootstrap_fn=bootstrap_sample) -> ForestModel:
+def fit_forest(X: np.ndarray, y: np.ndarray, n_estimators: int, params: TreeParams,
+               seed: int, bootstrap_fn=bootstrap_sample) -> ForestModel:
     """Train n_estimators trees on bootstrap samples and record the OOB error.
 
     Tree t draws its bootstrap from mix64(seed, t) and its per-node feature
@@ -573,14 +568,12 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    params = params or TreeParams()
     params.validate(X.shape[1])
     if n_estimators < 1:
         raise ValueError("n_estimators must be positive")
     n = len(y)
     if n < 2:
         raise ValueError("forest training needs at least 2 rows")
-    forest = ForestModel(trees=[], params=params, n_estimators=n_estimators, seed=seed)
     by_value, table = np.argsort(X.T, axis=1, kind="stable"), _entropy_table(n)
     most_batches = -(-n_estimators // max(1, _BATCH_ENTRIES // n))  # a batch holds whole trees
     n_ranges = min(_cpu_count(), most_batches)
@@ -591,18 +584,18 @@ def fit_forest(X: np.ndarray, y: np.ndarray,
     try:
         for low, high in zip(bounds[1:-1], bounds[2:]):
             helpers.append(_fork(functools.partial(grow, range(low, high))))
-        forest.trees, oob = grow(range(bounds[0], bounds[1]))
+        grown, oob = grow(range(bounds[0], bounds[1]))
         while helpers:
             more_trees, more_oob = _reply(*helpers.pop(0))
-            forest.trees += more_trees
+            grown += more_trees
             oob += more_oob
     finally:
         for pid, pipe in helpers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    forest.oob_error = oob_error(forest.trees, np.concatenate(oob), X, y)
-    return forest
+    return ForestModel(grown, params, n_estimators, seed,
+                       oob_error(grown, np.concatenate(oob), X, y))
 
 
 def oob_error(trees: list, oob: np.ndarray, X: np.ndarray, y: np.ndarray) -> float | None:
@@ -643,16 +636,16 @@ def node_to_dict(tree: Tree) -> dict:
     return nodes[0]
 
 
-def _checked_trees(sizes: np.ndarray, columns) -> list:
+def _checked_trees(sizes: np.ndarray, columns, max_depth=None) -> list:
     """The trees of the Tree columns, sizes[t] >= 1 nodes of tree t in tree order;
     ValueError unless fitting could have grown them, numbered as grown.
 
-    A node with a left child is a split. A tree's k-th split has feature
-    0..N_FEATURES - 1, a finite threshold, p_up and n 0, and its children at
-    nodes 2k + 1 and 2k + 2, after it; a leaf has feature, left and right -1,
-    threshold 0, p_up in [0, 1] and n at least 0; and a tree of s splits has
-    2s + 1 nodes, the last a leaf, so every node but the root has one parent,
-    before it. The message names the first of these rules broken and its first node.
+    A node with a left child is a split. A tree's k-th split has feature 0..N_FEATURES - 1,
+    a finite threshold, p_up and n 0, and its children at nodes 2k + 1 and 2k + 2, after
+    it; a leaf has feature, left and right -1, threshold 0, p_up in [0, 1] and n at least
+    0; a tree of s splits has 2s + 1 nodes, the last a leaf, so every node but the root has
+    one parent, before it; and unless max_depth is None, no node is more than max_depth
+    levels below its root. The message names the first rule broken and its first node.
     """
     feature, threshold, left, right, p_up, n = columns
     firsts = np.cumsum(sizes) - sizes
@@ -677,26 +670,42 @@ def _checked_trees(sizes: np.ndarray, columns) -> list:
         if not kept.all():
             node = np.argmin(kept)
             raise ValueError(f"tree {tree_of[node]} node {at[node]}: {rule}")
+    end, depth = np.ones_like(sizes), 0  # end[t]: tree t's first node below the levels walked
+    while max_depth is not None and (end < sizes).any():
+        if depth == max_depth:
+            t = np.argmax(end < sizes)
+            raise ValueError(f"tree {t} node {end[t]}: depth must be at most max_depth {max_depth}")
+        end = 2 * k[firsts + np.minimum(end, sizes - 1)] + 1  # splits 0..k - 1 have 1..2k
+        depth += 1
     return [Tree(*(c[a:a + m] for c in columns)) for a, m in zip(firsts.tolist(), sizes.tolist())]
 
 
 def _flattened(docs) -> tuple:
     """(node count per tree, Tree columns) of nested JSON trees, each numbered breadth
     first; each number is read through json_number, and _checked_trees does the rest."""
-    rows, sizes = [], []
+    sizes, columns = [], tuple([] for _ in Tree._fields)
+    feature, threshold, left, right, p_up, n = (column.append for column in columns)
     for doc in docs:
         queue = [doc]
         for node in queue:  # first in, first out: each split queues its left, then right child
             if "p_up" in node:
-                rows.append((-1, 0.0, -1, -1, json_number(node["p_up"], "leaf p_up"),
-                             json_number(node["n"], "leaf n", integer=True)))
+                feature(-1), threshold(0.0), left(-1), right(-1)
+                p_up(json_number(node["p_up"], "leaf p_up"))
+                n(json_number(node["n"], "leaf n", integer=True))
             else:
-                rows.append((json_number(node["feature"], "split feature", integer=True),
-                             json_number(node["threshold"], "split threshold"),
-                             len(queue), len(queue) + 1, 0.0, 0))
+                feature(json_number(node["feature"], "split feature", integer=True))
+                threshold(json_number(node["threshold"], "split threshold"))
+                left(len(queue)), right(len(queue) + 1), p_up(0.0), n(0)
                 queue += (node["left"], node["right"])
         sizes.append(len(queue))
-    return np.array(sizes), [np.array(c, t) for c, t in zip(zip(*rows), _TREE_DTYPES)]
+    try:
+        return np.array(sizes), [np.array(c, t) for c, t in zip(columns, _TREE_DTYPES)]
+    except OverflowError:  # the integers read, a split feature or leaf n, past 64 bits
+        node, name = min((i, name) for name, c in zip(("split feature", "leaf n"), columns[::5])
+                         for i, x in enumerate(c) if not -2**63 <= x < 2**63)
+        t = np.searchsorted(np.cumsum(sizes), node, side="right")
+        raise ValueError(f"tree {t} node {node - sum(sizes[:t])}: {name} must fit in 64 bits"
+                         ) from None
 
 
 def node_from_dict(d: dict) -> Tree:
@@ -717,8 +726,8 @@ def forest_to_dict(forest: ForestModel) -> dict:
 def _forest(params: TreeParams, n_estimators, seed, oob_error, sizes, columns) -> ForestModel:
     """The forest of these fields and its trees' columns; ValueError unless fitting could
     have written it: params valid for N_FEATURES features, a seed in [0, 2**64) as mix64
-    gives, n_estimators trees, at least 1, that _checked_trees accepts, and an oob_error
-    that is None or in [0, 1]."""
+    gives, n_estimators trees, at least 1, that _checked_trees accepts at params.max_depth,
+    and an oob_error that is None or in [0, 1]."""
     params.validate(N_FEATURES)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
@@ -726,7 +735,8 @@ def _forest(params: TreeParams, n_estimators, seed, oob_error, sizes, columns) -
         raise ValueError(f"n_estimators {n_estimators!r} but {len(sizes)} trees; at least 1")
     if oob_error is not None and not 0.0 <= oob_error <= 1.0:
         raise ValueError(f"oob_error must be none or in [0, 1], got {oob_error!r}")
-    return ForestModel(_checked_trees(sizes, columns), params, n_estimators, seed, oob_error)
+    return ForestModel(_checked_trees(sizes, columns, params.max_depth), params, n_estimators,
+                       seed, oob_error)
 
 
 def forest_from_dict(d: dict) -> ForestModel:
@@ -741,17 +751,12 @@ def forest_from_dict(d: dict) -> ForestModel:
                    *_flattened(d["trees"]))
 
 
-def forest_to_nodes(forest: ForestModel) -> bytes | None:
-    """The payload of the forest's node cache; None when its seed or a count does
-    not fit in 64 bits, which leaves the forest to its model file alone."""
+def forest_to_nodes(forest: ForestModel) -> bytes:
+    """The payload of the node cache of a forest that _forest accepts, as every
+    forest fitting writes is: each of its numbers fits the head's field."""
     head = np.zeros(1, _NODES_HEAD)
-    params = forest.params
-    try:
-        head[0] = (forest.n_estimators, forest.seed, params.max_depth,
-                   params.min_samples_split, params.max_features,
-                   math.nan if forest.oob_error is None else forest.oob_error)
-    except OverflowError:
-        return None
+    head[0] = (forest.n_estimators, forest.seed, *astuple(forest.params),
+               math.nan if forest.oob_error is None else forest.oob_error)
     sizes = np.array([len(tree.feature) for tree in forest.trees], dtype="<i8")
     return b"".join([head.tobytes(), sizes.tobytes(),
                      *(np.concatenate(column).astype(dtype).tobytes()

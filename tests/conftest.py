@@ -134,6 +134,8 @@ NODE_CACHE_FAULTS = {
         f, params=dataclasses.replace(f.params, max_features=6)),
     "max_depth_0": lambda f: dataclasses.replace(
         f, params=dataclasses.replace(f.params, max_depth=0)),
+    "deeper_than_max_depth": lambda f: dataclasses.replace(
+        f, params=dataclasses.replace(f.params, max_depth=1)),
     "oob_error_infinite": lambda f: dataclasses.replace(f, oob_error=np.inf),
     "oob_error_negative": lambda f: dataclasses.replace(f, oob_error=-0.5),
 }

@@ -699,22 +699,20 @@ def test_flag_overrides_keep_zero_and_ignore_empty_paths():
     assert config["split"] == cli.DEFAULT_CONFIG["split"]
 
 
-def test_readme_cli_and_modules_share_one_set_of_default_hyperparameters():
+def test_readme_and_help_state_the_defaults_of_default_config(monkeypatch, capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     documented = json.loads(readme.split("```json\n")[1].split("```")[0])
     del documented["data"]  # an example path: the default is none
     assert documented == {key: value for key, value in cli.DEFAULT_CONFIG.items()
                           if key != "data"}
-    tree, fnn = trees.TreeParams(), neural.TrainConfig()
-    assert {name: cli.DEFAULT_CONFIG[name] for name in cli.MODEL_NAMES} == {
-        "lr": {"alpha": logistic.DEFAULT_ALPHA, "epochs": logistic.DEFAULT_EPOCHS},
-        "dt": {"max_depth": tree.max_depth, "min_samples_split": tree.min_samples_split},
-        "rf": {"n_estimators": trees.DEFAULT_N_ESTIMATORS, "max_features": tree.max_features,
-               "max_depth": tree.max_depth, "min_samples_split": tree.min_samples_split},
-        "fnn": {"epochs": fnn.epochs, "batch_size": fnn.batch_size,
-                "validation_fraction": fnn.validation_fraction,
-                "layer_dims": list(neural.DEFAULT_LAYER_DIMS)},
-    }
+    changed = {"code": 1234, "seed": 5, "split": [0.6, 0.2], "format": "csv", "out": "elsewhere"}
+    monkeypatch.setattr(cli, "DEFAULT_CONFIG", {**cli.DEFAULT_CONFIG, **changed})
+    assert cli.main(["prepare", "--help"]) == cli.EXIT_OK
+    help_text = " ".join(capsys.readouterr().out.split())
+    for text in ("code to keep (default 1234)", "master seed (default 5)",
+                 "fractions (default 0.6,0.2)", "format (default csv)",
+                 "directory (default elsewhere)"):
+        assert text in help_text
 
 
 def _dataset_with_line(workspace, index, edit):
@@ -853,6 +851,14 @@ BAD_INPUT_FILES = {
     "rf_negative_seed": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), seed=-5)),
     "rf_seed_past_64_bits": ("model", lambda ws: _with_keys(_rf_model([_LEAF]), seed=2**64)),
     "rf_leaf_n_negative": ("model", lambda ws: _rf_model([{"p_up": 1.0, "n": -7}])),
+    "rf_max_depth_past_64_bits": ("model", lambda ws: _with_keys(
+        _rf_model([_LEAF]), params={**_TREE_PARAMS, "max_depth": 2**63})),
+    "rf_tree_deeper_than_max_depth": ("model", lambda ws: _with_keys(
+        _rf_model([{**_split(0), "left": _split(1), "right": _split(2)}]),
+        params={**_TREE_PARAMS, "max_depth": 1})),
+    "rf_split_feature_2_to_the_70": ("model", lambda ws: _rf_model([_split(2**70)])),
+    "dt_leaf_n_2_to_the_70": ("model", lambda ws: json.dumps(
+        {**_split(2), "right": {"p_up": 0.5, "n": 2**70}})),
     "dt_leaf_n_negative": ("model", lambda ws: json.dumps(
         {**_split(2), "left": {"p_up": 0.5, "n": -1}})),
     "raw_not_utf8": ("raw", lambda ws: b"\xff\xfe" + ws.raw.read_bytes()),
@@ -870,6 +876,15 @@ BAD_INPUT_FILES = {
     "dataset_dates_out_of_order": ("dataset", lambda ws: _dataset_with_lines_swapped(ws, 5, 6)),
     "dataset_date_repeated": ("dataset", lambda ws: _dataset_with_line(
         ws, 6, lambda f: ws.dataset.read_text().splitlines()[5])),
+}
+
+
+# What the data error says after "model file <path>: ", for the BAD_INPUT_FILES
+# whose rule names a tree and a node.
+BAD_INPUT_MESSAGES = {
+    "rf_tree_deeper_than_max_depth": "tree 0 node 3: depth must be at most max_depth 1",
+    "rf_split_feature_2_to_the_70": "tree 0 node 0: split feature must fit in 64 bits",
+    "dt_leaf_n_2_to_the_70": "tree 0 node 2: leaf n must fit in 64 bits",
 }
 
 
@@ -892,6 +907,8 @@ def test_bad_input_files_exit_data_with_one_line(case, trained, tmp_path, capsys
     assert str(bad) in err
     if "standardizer" in case:
         assert "standardizer" in err
+    if case in BAD_INPUT_MESSAGES:
+        assert err == f"data error: model file {bad}: {BAD_INPUT_MESSAGES[case]}\n"
     if kind == "model":  # a stale node cache beside the file changes nothing
         shutil.copy(trained.out / "model_rf.json.nodes", f"{bad}.nodes")
         assert cli.main(argv) == rc and capsys.readouterr().err == err
@@ -1109,16 +1126,18 @@ def test_a_failed_node_cache_write_leaves_no_model_file(workspace, tmp_path, cap
     assert not (out / "model_rf.json").exists()
 
 
-def test_a_forest_whose_params_pass_64_bits_is_saved_without_a_node_cache(workspace,
-                                                                          tmp_path):
+@pytest.mark.parametrize("name", ["dt", "rf"])
+def test_a_tree_whose_params_pass_64_bits_is_refused(name, workspace, tmp_path, capsys):
+    # a forest's node cache keeps max_depth in 64 bits, so fitting refuses what it cannot hold
     config = tmp_path / "deep.json"
-    config.write_text(json.dumps({"rf": {**FAST_CONFIG["rf"], "max_depth": 2**70}}))
+    config.write_text(json.dumps({name: {"max_depth": 2**63}}))
     out = tmp_path / "out"
-    assert cli.main(["train", "--model", "rf", "--config", str(config),
-                     "--dataset", str(workspace.dataset), "--out", str(out)]) == 0
-    assert json.loads((out / "model_rf.json").read_text())["params"]["max_depth"] == 2**70
-    assert not (out / "model_rf.json.nodes").exists()
-    assert _evaluate_forest(out / "model_rf.json", workspace, out)[0] == cli.EXIT_OK
+    rc = cli.main(["train", "--model", name, "--config", str(config),
+                   "--dataset", str(workspace.dataset), "--out", str(out)])
+    assert rc == cli.EXIT_TRAINING
+    assert capsys.readouterr().err == (f"training error: cannot train {name}: max_depth and "
+                                       "min_samples_split must be in [1, 2**63)\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -150,17 +150,17 @@ def test_train_two_point_separable_matches_oracle():
 def test_train_all_positive_labels_grows_intercept():
     X = np.zeros((6, 1))
     y = np.ones(6)
-    intercepts = [logistic.train(X, y, epochs=k).theta[0] for k in range(1, 8)]
+    intercepts = [logistic.train(X, y, alpha=0.01, epochs=k).theta[0] for k in range(1, 8)]
     assert all(b > a for a, b in zip(intercepts, intercepts[1:]))
     assert intercepts[0] > 0.0
-    model = logistic.train(X, y, epochs=50)
+    model = logistic.train(X, y, alpha=0.01, epochs=50)
     assert np.all(logistic.predict_proba(model, X) > 0.5)
 
 
 def test_train_zero_epochs():
     X = np.array([[-1.0], [1.0]])
     y = np.array([0, 1])
-    model = logistic.train(X, y, epochs=0)
+    model = logistic.train(X, y, alpha=0.01, epochs=0)
     assert np.array_equal(model.theta, np.zeros(2))
     assert model.cost_history.size == 0
     # p is exactly 0.5 everywhere and the tie maps to class 1
@@ -191,8 +191,8 @@ def test_train_is_deterministic():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(32, 5))
     y = rng.integers(0, 2, size=32)
-    a = logistic.train(X, y, epochs=100)
-    b = logistic.train(X, y, epochs=100)
+    a = logistic.train(X, y, alpha=0.01, epochs=100)
+    b = logistic.train(X, y, alpha=0.01, epochs=100)
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.cost_history, b.cost_history)
 
@@ -201,7 +201,7 @@ def test_train_divergence_raises():
     X = np.array([[np.inf], [1.0]])
     y = np.array([0, 1])
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError):
-        logistic.train(X, y, epochs=5)
+        logistic.train(X, y, alpha=0.01, epochs=5)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_model_json_round_trip():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(20, 5))
     y = rng.integers(0, 2, size=20)
-    model = logistic.train(X, y, epochs=25)
+    model = logistic.train(X, y, alpha=0.01, epochs=25)
     doc = logistic.to_dict(model)
     assert list(doc) == ["theta", "alpha", "epochs", "cost_history"]
     back = logistic.from_dict(doc)

@@ -26,6 +26,8 @@ from conftest import cli_labels
 # z2 = -1.15, sigmoid(z2) below.
 MINI_P = 0.24048908305088892541
 
+PAPER_DIMS = (5, 128, 64, 1)  # the paper's network
+
 
 def _mini_model():
     return NetworkModel(
@@ -40,7 +42,7 @@ def _mini_model():
 # init_network
 
 def test_init_shapes_match_layer_dims():
-    model = init_network(0)
+    model = init_network(0, PAPER_DIMS)
     assert model.layer_dims == (5, 128, 64, 1)
     assert [w.shape for w in model.weights] == [(128, 5), (64, 128), (1, 64)]
     assert [b.shape for b in model.biases] == [(128,), (64,), (1,)]
@@ -55,10 +57,10 @@ def test_init_biases_zero_and_weights_bounded():
 
 
 def test_init_deterministic():
-    a = init_network(42)
-    b = init_network(42)
+    a = init_network(42, PAPER_DIMS)
+    b = init_network(42, PAPER_DIMS)
     assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
-    c = init_network(43)
+    c = init_network(43, PAPER_DIMS)
     assert not all(np.array_equal(x, y) for x, y in zip(a.weights, c.weights))
 
 
@@ -74,7 +76,7 @@ def test_forward_zero_parameters_give_half():
 
 
 def test_forward_outputs_in_open_unit_interval():
-    model = init_network(3)
+    model = init_network(3, PAPER_DIMS)
     X = np.random.default_rng(1).normal(size=(1000, 5))
     p = forward(model, X)
     assert np.all((p > 0.0) & (p < 1.0))
@@ -96,7 +98,7 @@ def test_forward_batch_equals_row_by_row():
 def test_forward_holds_two_consecutive_layers_at_most():
     # the two hidden layers of 4,000 rows, 4.1 and 2.0 MB, are the most a
     # pass computed in place needs at once
-    model = init_network(3)
+    model = init_network(3, PAPER_DIMS)
     X = np.random.default_rng(5).standard_normal((4000, 5))
     tracemalloc.start()
     try:
@@ -111,7 +113,7 @@ def test_forward_holds_two_consecutive_layers_at_most():
 def test_forward_memory_does_not_grow_with_rows(n):
     # a block holds fewer than 2 * _SCORE_ROWS rows, so its two hidden layers
     # stay under two blocks' worth whatever n is; only the output grows
-    model = init_network(3)
+    model = init_network(3, PAPER_DIMS)
     X = np.random.default_rng(5).standard_normal((n, 5))
     tracemalloc.start()
     try:
@@ -415,14 +417,14 @@ def test_train_learns_separable_data():
 def test_train_requires_more_rows_than_batch():
     X, y = _train_data(30)
     with pytest.raises(ValueError):
-        train_network(X, y, TrainConfig(batch_size=32), seed=0)
+        train_network(X, y, TrainConfig(10, 32, 0.2, 0), seed=0, layer_dims=PAPER_DIMS)
 
 
 @pytest.mark.parametrize("layer_dims", [(), (5,), (4, 1), (5, 8, 2), (5, 0, 1), (5, -3, 1)])
 def test_train_rejects_layer_dims_not_from_inputs_to_one_output(layer_dims):
     X, y = _train_data()
     with pytest.raises(ValueError, match="layer_dims"):
-        train_network(X, y, TrainConfig(epochs=1), seed=0, layer_dims=layer_dims)
+        train_network(X, y, TrainConfig(1, 32, 0.2, 0), seed=0, layer_dims=layer_dims)
 
 
 def test_train_divergence_raises():
@@ -431,8 +433,7 @@ def test_train_divergence_raises():
     X[0, 0] = np.inf
     with np.errstate(invalid="ignore", over="ignore"), \
             pytest.raises(TrainingDivergedError):
-        train_network(X, y, TrainConfig(epochs=2, batch_size=16, shuffle_seed=0),
-                      seed=0, layer_dims=(5, 6, 3, 1))
+        train_network(X, y, TrainConfig(2, 16, 0.2, 0), seed=0, layer_dims=(5, 6, 3, 1))
 
 
 # ---------------------------------------------------------------------------

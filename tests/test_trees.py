@@ -367,7 +367,8 @@ def test_scorer_equals_the_per_row_oracle_on_trees_either_side_of_one_word(
     for g, e in zip(got, expected):
         assert g.dtype == np.float64 and np.array_equal(g, e)
     assert np.array_equal(sum(trees._tree_probas(forest, X)), sum(expected))  # tree order
-    model = ForestModel(trees=forest, params=TreeParams(), n_estimators=len(forest), seed=0)
+    model = ForestModel(trees=forest, params=TreeParams(100, 100, 5), n_estimators=len(forest),
+                        seed=0)
     assert np.array_equal(predict_forest(model, X),
                           (sum(expected) / len(forest) >= 0.5).astype(np.int64))
     for tree, e in zip(forest, expected):
@@ -605,7 +606,7 @@ def _assert_same_tree(got, expected):
 
 
 @pytest.mark.parametrize("n, decimals, n_estimators, params, seed", [
-    (300, None, 12, TreeParams(100, 100, 5), 7),  # the default parameters
+    (300, None, 12, TreeParams(100, 100, 5), 7),  # the paper's parameters
     (200, 1, 10, TreeParams(100, 2, 5), 8),       # min split 2; rounding ties values
     (250, 0, 10, TreeParams(3, 2, 5), 9),         # a small max_depth; few distinct values
     (400, 2, 8, TreeParams(12, 20, 5), 10),
@@ -825,7 +826,7 @@ def _assert_no_child_process():
 
 
 @pytest.mark.parametrize("params, bootstrap_fn", [
-    (TreeParams(), bootstrap_sample),         # the default parameters
+    (TreeParams(100, 100, 5), bootstrap_sample),  # the paper's parameters
     (TreeParams(20, 10, 3), bootstrap_sample),  # samplers draw per node
     (TreeParams(20, 10, 5), lambda n, seed: np.random.default_rng(seed).integers(0, n, n // 2)),
 ])
@@ -894,14 +895,14 @@ def test_a_forked_range_that_ends_without_replying_raises_one_line(monkeypatch):
 
 def test_predict_forest_all_up_leaves():
     forest = ForestModel(trees=[node_from_dict({"p_up": 1.0, "n": 1})] * 3,
-                         params=TreeParams(), n_estimators=3, seed=0)
+                         params=TreeParams(100, 100, 5), n_estimators=3, seed=0)
     assert predict_forest(forest, np.zeros((4, 5))).tolist() == [1, 1, 1, 1]
 
 
 def test_predict_forest_mean_tie_maps_to_one():
     forest = ForestModel(trees=[node_from_dict({"p_up": 0.2, "n": 1}),
                                 node_from_dict({"p_up": 0.8, "n": 1})],
-                         params=TreeParams(), n_estimators=2, seed=0)
+                         params=TreeParams(100, 100, 5), n_estimators=2, seed=0)
     assert predict_forest(forest, np.zeros((1, 5))).tolist() == [1]
 
 
@@ -1069,7 +1070,14 @@ def test_a_node_cache_of_the_wrong_length_or_counts_is_refused(edit):
 
 
 @pytest.mark.parametrize("change", [{"seed": 2**64}, {"seed": -1},
-                                    {"params": TreeParams(2**63, 2, 5)}])
-def test_a_forest_whose_numbers_pass_64_bits_has_no_node_cache(change):
-    forest = _small_forest()
-    assert trees.forest_to_nodes(dataclasses.replace(forest, **change)) is None
+                                    {"params": TreeParams(2**63, 2, 5)},
+                                    {"params": TreeParams(6, 2**63, 5)}])
+def test_a_forest_whose_numbers_pass_64_bits_is_refused(change):
+    # so every forest a model file gives fits its node cache's 64-bit fields
+    doc = json.loads(json.dumps(forest_to_dict(dataclasses.replace(_small_forest(), **change))))
+    with pytest.raises(ValueError, match=r"2\*\*6[34]\)"):
+        forest_from_dict(doc)
+    if "params" in change:
+        X, y = separable_classification(50, seed=1)
+        with pytest.raises(ValueError, match=r"must be in \[1, 2\*\*63\)"):
+            fit_forest(X, y, 1, change["params"], seed=0)
