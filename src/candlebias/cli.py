@@ -7,8 +7,9 @@ Subcommands
               forest also gets its node cache, model_rf.json.nodes
     evaluate  score a saved model file (--model or --model-file) on a dataset split
     compare   train all four models and emit one combined report, scoring each
-              fitted document as evaluate scores a file, without reading it back;
-              it writes nothing unless all four fit and score
+              fitted document as evaluate scores a file, without reading it back
+              (a forest's is encoded and checked one tree at a time); it writes
+              nothing unless all four fit and score
 
 A model file's bytes are read once. A forest is taken from the node cache
 beside its file when the cache's digest binds it to those bytes and it passes
@@ -186,8 +187,7 @@ def _fit_dt(X, y, params: dict, seed: int):
 
 
 def _fit_rf(X, y, params: dict, seed: int):
-    forest = trees.fit_forest(X, y, int(params["n_estimators"]), _tree_params(params), seed)
-    return trees.forest_to_dict(forest), None
+    return trees.fit_forest(X, y, int(params["n_estimators"]), _tree_params(params), seed), None
 
 
 def _fit_fnn(X, y, params: dict, seed: int):
@@ -222,10 +222,12 @@ def _score_proba(proba, model, std, X, y):
 class ModelSpec:
     label: str            # row name in reports
     markers: tuple        # JSON keys found only in this model's documents
-    fit: Callable         # (X, y, config section, seed) -> (document, history columns)
+    fit: Callable         # (X, y, config section, seed) -> (fitted, history columns)
     load: Callable        # document -> model, paired with its standardizer for LR and FNN
     score: Callable       # (loaded model, X, y) -> (predicted labels, loss or None)
     history_file: str | None = None
+    encode: Callable | None = None  # fitted -> (JSON text, model as load gives it);
+                                    # None: fitted is the document, loaded then dumped
 
 
 MODELS = {
@@ -239,7 +241,8 @@ MODELS = {
                                      None)),
     "rf": ModelSpec("RF", ("trees",), _fit_rf,
                     lambda doc: trees.forest_from_dict(doc),
-                    lambda m, X, y: (trees.predict_forest(m, X), None)),
+                    lambda m, X, y: (trees.predict_forest(m, X), None),
+                    encode=lambda forest: trees.forest_to_json(forest)),
     "fnn": ModelSpec("FNN", ("layer_dims",), _fit_fnn,
                      lambda doc: _with_standardizer(neural.from_dict(doc)[0], doc),
                      lambda m, X, y: _score_proba(neural.forward, *m, X, y),
@@ -250,13 +253,18 @@ MODEL_NAMES = tuple(MODELS)
 
 def _fit(name: str, ds: dataset.LabeledDataset, train: range, config: dict):
     """Fit one model on rows train and check its document as a model file is
-    checked, writing nothing; return (loaded model, JSON text, history columns)."""
+    checked, writing nothing; return (loaded model, JSON text, history columns).
+    A forest's document is encoded and checked one tree at a time."""
     spec = MODELS[name]
     try:
         with np.errstate(all="ignore"):  # a diverging fit shows as a non-finite cost
-            doc, history = spec.fit(ds.rows(train), ds.labels(train), config[name],
-                                    mix64(config["seed"], MODEL_NAMES.index(name)))
-        return spec.load(doc), json.dumps(doc), history
+            fitted, history = spec.fit(ds.rows(train), ds.labels(train), config[name],
+                                       mix64(config["seed"], MODEL_NAMES.index(name)))
+        if spec.encode:
+            text, model = spec.encode(fitted)
+        else:
+            model, text = spec.load(fitted), json.dumps(fitted)
+        return model, text, history
     except (ValueError, TrainingDivergedError, RecursionError,  # too deep to nest
             MemoryError) as exc:  # a config asking for more than the address space
         raise TrainingDivergedError(f"cannot train {name}: {exc}") from exc

@@ -132,19 +132,26 @@ def backward(model: NetworkModel, X: np.ndarray, y: np.ndarray):
 
 
 def adam_step(params: list, grads: list, state: AdamState) -> list:
-    """One bias-corrected Adam update; returns new params, mutates state in place."""
+    """One bias-corrected Adam update of each float array of params, and of its moments
+    in state, in place; returns params. Each product, sum and quotient of the textbook
+    update is taken in its order, so the update in place keeps its bits."""
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        out.append(p - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPSILON))
-    return out
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        step = np.divide(m, c1)        # m_hat
+        step *= LEARNING_RATE
+        root = np.divide(v, c2)        # v_hat
+        np.sqrt(root, out=root)
+        root += EPSILON
+        step /= root
+        p -= step
+    return params
 
 
 def _check_layer_dims(layer_dims, n_inputs: int) -> None:
@@ -154,13 +161,21 @@ def _check_layer_dims(layer_dims, n_inputs: int) -> None:
                          f"every width an integer of at least 1, got {list(layer_dims)}")
 
 
+def _views(flat: np.ndarray, arrays: list) -> list:
+    """Views of flat shaped as arrays, which it holds raveled one after another."""
+    parts = np.split(flat, np.cumsum([array.size for array in arrays])[:-1])
+    return [part.reshape(array.shape) for part, array in zip(parts, arrays)]
+
+
 def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int, layer_dims):
     """Train on seeded-shuffled mini-batches; returns (model, per-epoch losses).
 
     The chronologically last validation_fraction of the rows is held out for
     monitoring and never trains. Batches are re-shuffled each epoch from one
     seeded generator; the final short batch is used, not dropped. Epoch losses
-    are full-pass evaluations after the epoch's updates.
+    are full-pass evaluations after the epoch's updates. The weights and biases
+    are views of one flat buffer, each batch's gradients are copied into
+    another, and adam_step updates the whole buffer in place.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -180,10 +195,12 @@ def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int, 
     X_val, y_val = X[n_fit:], y[n_fit:]
 
     model = init_network(seed, layer_dims)
-    params = model.weights + model.biases
-    state = AdamState(m=[np.zeros_like(p) for p in params],
-                      v=[np.zeros_like(p) for p in params])
-    n_w = len(model.weights)
+    arrays, n_w = model.weights + model.biases, len(model.weights)
+    params = np.concatenate([array.ravel() for array in arrays])
+    grads = np.empty_like(params)
+    views, grad_views = _views(params, arrays), _views(grads, arrays)
+    model.weights, model.biases = views[:n_w], views[n_w:]
+    state = AdamState(m=[np.zeros_like(params)], v=[np.zeros_like(params)])
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
 
     history = LossHistory()
@@ -192,9 +209,9 @@ def train_network(X: np.ndarray, y: np.ndarray, config: TrainConfig, seed: int, 
         for start in range(0, n_fit, config.batch_size):
             batch = order[start:start + config.batch_size]
             grads_w, grads_b = backward(model, X_fit[batch], y_fit[batch])
-            params = adam_step(params, grads_w + grads_b, state)
-            model.weights = params[:n_w]
-            model.biases = params[n_w:]
+            for view, grad in zip(grad_views, grads_w + grads_b):
+                view[...] = grad
+            adam_step([params], [grads], state)
 
         train_loss = bce_loss(forward(model, X_fit), y_fit)
         val_loss = bce_loss(forward(model, X_val), y_val) if n_val > 0 else math.nan

@@ -5,10 +5,12 @@ scale-equivariant. All randomness flows through :func:`candlebias.seeding.mix64`
 and tree t of a forest depends only on (master seed, t).
 
 A tree is one :class:`Tree` of parallel node arrays, which fitting builds and
-prediction reads; only a model file nests it (node_to_dict, node_from_dict).
-A forest's node cache holds its arrays flat (forest_to_nodes). Every loader
-checks all the nodes it reads at once by one rule (_checked_trees), and a
-forest's fields by one more (_forest), so each accepts just what fitting writes.
+prediction reads; only a model file nests it (node_to_dict, node_from_dict). A
+fitted forest's model file is encoded, and checked as a loaded file is, one
+tree at a time (forest_to_json). A forest's node cache holds its arrays flat
+(forest_to_nodes). Every loader checks all the nodes it reads at once by one
+rule (_checked_trees), and a forest's fields by one more (_forest), so each
+accepts just what fitting writes.
 Fitting grows trees one depth level at a time: a forest grows a batch of trees
 together, each on its bootstrap given as a count per row, and a plain tree is
 the one-tree batch in which every row counts once (see _grow). A forest grows
@@ -28,6 +30,7 @@ takes every row from that generator and keeps each tree's out-of-bag rows
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import pickle
@@ -713,14 +716,29 @@ def node_from_dict(d: dict) -> Tree:
     return _checked_trees(*_flattened([d]))[0]
 
 
-def forest_to_dict(forest: ForestModel) -> dict:
-    return {
-        "n_estimators": forest.n_estimators,
-        "seed": forest.seed,
-        "params": asdict(forest.params),
-        "oob_error": forest.oob_error,
-        "trees": [node_to_dict(tree) for tree in forest.trees],
-    }
+def forest_to_json(forest: ForestModel) -> tuple:
+    """(model-file text, checked forest) of a fitted forest, one tree at a time.
+
+    The text is the forest's JSON document: its head fields, then "trees",
+    the nested form of each tree (node_to_dict), as json.dumps writes the
+    whole document. Each tree's dict is encoded, then read back through
+    _flattened, as forest_from_dict reads a file, before the next is built,
+    so neither the whole nested document nor its encoder's buffer is held.
+    The forest comes from _forest, so it is what loading the text would give;
+    ValueError unless _forest accepts it.
+    """
+    head = {"n_estimators": forest.n_estimators, "seed": forest.seed,
+            "params": asdict(forest.params), "oob_error": forest.oob_error}
+    fields, pieces = _head_fields(head), []
+
+    def docs():
+        for tree in forest.trees:
+            doc = node_to_dict(tree)
+            pieces.append(json.dumps(doc))
+            yield doc
+
+    checked = _forest(*fields, *_flattened(docs()))
+    return f'{json.dumps(head)[:-1]}, "trees": [{", ".join(pieces)}]}}', checked
 
 
 def _forest(params: TreeParams, n_estimators, seed, oob_error, sizes, columns) -> ForestModel:
@@ -739,16 +757,21 @@ def _forest(params: TreeParams, n_estimators, seed, oob_error, sizes, columns) -
                        seed, oob_error)
 
 
-def forest_from_dict(d: dict) -> ForestModel:
-    """A forest from its JSON form; ValueError unless fitting could have written it."""
+def _head_fields(d: dict) -> tuple:
+    """(params, n_estimators, seed, oob_error) of a forest's JSON head, each number
+    read through json_number; _forest checks them."""
     oob_error = d["oob_error"]
     params = (json_number(d["params"][key], f"params {key}", integer=True)
               for key in ("max_depth", "min_samples_split", "max_features"))
-    return _forest(TreeParams(*params),
-                   json_number(d["n_estimators"], "n_estimators", integer=True),
-                   json_number(d["seed"], "seed", integer=True),
-                   None if oob_error is None else json_number(oob_error, "oob_error"),
-                   *_flattened(d["trees"]))
+    return (TreeParams(*params),
+            json_number(d["n_estimators"], "n_estimators", integer=True),
+            json_number(d["seed"], "seed", integer=True),
+            None if oob_error is None else json_number(oob_error, "oob_error"))
+
+
+def forest_from_dict(d: dict) -> ForestModel:
+    """A forest from its JSON form; ValueError unless fitting could have written it."""
+    return _forest(*_head_fields(d), *_flattened(d["trees"]))
 
 
 def forest_to_nodes(forest: ForestModel) -> bytes:

@@ -22,8 +22,8 @@ from candlebias import cli, logistic, metrics, neural, trees
 from candlebias.dataset import ingest_csv
 
 from conftest import FIXTURE_DIR, separable_classification, synthetic_candles, write_raw_csv
-from test_trees import (best_split, oracle_best_split, predict_tree, random_instance,
-                        tree_predict)
+from test_trees import (best_split, forest_to_dict, oracle_best_split, predict_tree,
+                        random_instance, tree_predict)
 
 
 def _locate_jpx():
@@ -193,8 +193,8 @@ def test_criterion_8_determinism(tmp_path):
         params = trees.TreeParams(max_depth=20, min_samples_split=10, max_features=3)
         full = trees.fit_forest(X, y, n_estimators=24, params=params, seed=3)
         prefix = trees.fit_forest(X, y, n_estimators=8, params=params, seed=3)
-        assert json.dumps(trees.forest_to_dict(prefix)["trees"]) == \
-            json.dumps(trees.forest_to_dict(full)["trees"][:8])
+        assert json.dumps(forest_to_dict(prefix)["trees"]) == \
+            json.dumps(forest_to_dict(full)["trees"][:8])
 
 
 def test_criterion_9_all_positive_identities():

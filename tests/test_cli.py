@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import functools
 import hashlib
@@ -335,6 +336,33 @@ def test_an_overflowing_train_column_exits_data(command, workspace, tmp_path, ca
     assert rc == cli.EXIT_DATA
     assert capsys.readouterr().err == ("data error: train column(s) ['Volume']: "
                                        "mean or stddev overflows the float range\n")
+    assert not out.exists()
+
+
+def _with_last_leaf_above_one(forest):
+    """The forest with the first leaf of a copy of its last tree given p_up 1.5."""
+    last = forest.trees[-1]
+    p_up = last.p_up.copy()
+    p_up[np.flatnonzero(last.feature < 0)[0]] = 1.5
+    return dataclasses.replace(forest, trees=[*forest.trees[:-1], last._replace(p_up=p_up)])
+
+
+@pytest.mark.parametrize("command", [["train", "--model", "rf"], ["compare"]])
+def test_a_fitted_forest_whose_last_tree_breaks_a_rule_exits_training(command, workspace,
+                                                                       tmp_path, monkeypatch,
+                                                                       capsys):
+    # the forest's document is checked one tree at a time, up to the last
+    fit_forest = trees.fit_forest
+    monkeypatch.setattr(trees, "fit_forest", lambda *args, **kwargs: _with_last_leaf_above_one(
+        fit_forest(*args, **kwargs)))
+    out = tmp_path / "out"
+    rc = cli.main(command + ["--config", str(workspace.config),
+                             "--dataset", str(workspace.dataset), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_TRAINING
+    n_trees = FAST_CONFIG["rf"]["n_estimators"]
+    assert err.startswith(f"training error: cannot train rf: tree {n_trees - 1} node ")
+    assert err.endswith(": leaf p_up must be in [0, 1]\n") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -861,6 +889,14 @@ BAD_INPUT_FILES = {
         {**_split(2), "right": {"p_up": 0.5, "n": 2**70}})),
     "dt_leaf_n_negative": ("model", lambda ws: json.dumps(
         {**_split(2), "left": {"p_up": 0.5, "n": -1}})),
+    "dt_threshold_10_to_the_400": ("model", lambda ws: json.dumps(
+        {**_split(0), "threshold": 10**400})),
+    "rf_oob_error_10_to_the_400": ("model", lambda ws: _with_keys(
+        _rf_model([_LEAF]), oob_error=10**400)),
+    "lr_alpha_10_to_the_400": ("model", lambda ws: _with_keys(
+        _lr_model(_LR_THETA, 5), alpha=10**400)),
+    "lr_theta_entry_10_to_the_400": ("model", lambda ws: _lr_model(
+        [*_LR_THETA[:3], -10**400, *_LR_THETA[4:]], 5)),
     "raw_not_utf8": ("raw", lambda ws: b"\xff\xfe" + ws.raw.read_bytes()),
     "config_section_not_object": ("config", lambda ws: json.dumps({"lr": 5})),
     "config_split_one_fraction": ("config", lambda ws: json.dumps({"split": [0.7]})),
@@ -880,8 +916,14 @@ BAD_INPUT_FILES = {
 
 
 # What the data error says after "model file <path>: ", for the BAD_INPUT_FILES
-# whose rule names a tree and a node.
+# whose rule names a tree and a node, or a number past the float range; such a
+# number is cut to 100 characters.
+_CUT = repr(10**400)[:100]
 BAD_INPUT_MESSAGES = {
+    "dt_threshold_10_to_the_400": f"split threshold must be a finite number, got {_CUT}",
+    "rf_oob_error_10_to_the_400": f"oob_error must be a finite number, got {_CUT}",
+    "lr_alpha_10_to_the_400": f"alpha must be a finite number, got {_CUT}",
+    "lr_theta_entry_10_to_the_400": f"theta must hold only finite numbers, got -{_CUT[:99]}",
     "rf_tree_deeper_than_max_depth": "tree 0 node 3: depth must be at most max_depth 1",
     "rf_split_feature_2_to_the_70": "tree 0 node 0: split feature must fit in 64 bits",
     "dt_leaf_n_2_to_the_70": "tree 0 node 2: leaf n must fit in 64 bits",

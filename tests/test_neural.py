@@ -302,7 +302,7 @@ def test_adam_first_step_moves_by_lr_sign():
     params = [np.array([1.0, -2.0, 3.0])]
     grads = [np.array([0.5, -0.25, 2.0])]
     state = AdamState(m=[np.zeros(3)], v=[np.zeros(3)])
-    (new,) = adam_step(params, grads, state)
+    (new,) = adam_step([params[0].copy()], grads, state)
     move = new - params[0]
     expected = -neural.LEARNING_RATE * np.sign(grads[0])
     assert np.all(np.abs(move - expected) < 1e-6)
@@ -312,7 +312,7 @@ def test_adam_first_step_moves_by_lr_sign():
 def test_adam_zero_gradient_from_fresh_state_is_identity():
     params = [np.array([1.0, 2.0])]
     state = AdamState(m=[np.zeros(2)], v=[np.zeros(2)])
-    (new,) = adam_step(params, [np.zeros(2)], state)
+    (new,) = adam_step([params[0].copy()], [np.zeros(2)], state)
     assert np.array_equal(new, params[0])
 
 
